@@ -96,6 +96,9 @@ EvalServer::start()
     if (!cfg_.workerSockets.empty()) {
         WorkerFleetConfig wf;
         wf.sockets = cfg_.workerSockets;
+        // serveMain starts every worker with this front's
+        // --exec-threads: one slot per worker exec thread.
+        wf.slotsPerWorker = cfg_.execThreads;
         wf.jobTimeoutMs = cfg_.jobTimeoutMs;
         fleet_ = std::make_unique<WorkerFleet>(std::move(wf));
     }

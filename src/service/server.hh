@@ -84,7 +84,9 @@ struct ServeConfig
     /** Queued (not yet executing) run requests beyond which new ones
         are rejected with "queue full". */
     unsigned queueDepth = 16;
-    /** Concurrent study executions (threads inside this process). */
+    /** Concurrent study executions (threads inside this process).
+        With workers, serveMain gives each worker the same count and
+        the front keeps that many connections to each. */
     unsigned execThreads = 2;
     /**
      * Worker *processes* to spawn (`--workers N`). Each worker is a

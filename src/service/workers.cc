@@ -9,9 +9,11 @@
 #include <sys/wait.h>
 #include <thread>
 #include <unistd.h>
+#include <unordered_set>
 #include <utility>
 
 #include "service/client.hh"
+#include "store/result_store.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/trace_events.hh"
@@ -32,6 +34,8 @@ WorkerFleet::WorkerFleet(WorkerFleetConfig cfg) : cfg_(std::move(cfg))
 {
     if (cfg_.queueCap == 0)
         cfg_.queueCap = 1;
+    if (cfg_.slotsPerWorker == 0)
+        cfg_.slotsPerWorker = 1;
     lanes_.reserve(cfg_.sockets.size());
     for (std::size_t i = 0; i < cfg_.sockets.size(); ++i) {
         auto lane = std::make_unique<Lane>();
@@ -41,7 +45,8 @@ WorkerFleet::WorkerFleet(WorkerFleetConfig cfg) : cfg_(std::move(cfg))
     }
     for (auto &lane : lanes_) {
         Lane *l = lane.get();
-        l->dispatcher = std::thread([this, l] { dispatchLoop(*l); });
+        for (unsigned s = 0; s < cfg_.slotsPerWorker; ++s)
+            l->dispatchers.emplace_back([this, l] { dispatchLoop(*l); });
     }
 }
 
@@ -55,8 +60,9 @@ WorkerFleet::~WorkerFleet()
         lane->cv.notify_all();
     }
     for (auto &lane : lanes_)
-        if (lane->dispatcher.joinable())
-            lane->dispatcher.join();
+        for (std::thread &t : lane->dispatchers)
+            if (t.joinable())
+                t.join();
 }
 
 void
@@ -70,7 +76,7 @@ WorkerFleet::setWorkerHealthy(std::size_t index, bool healthy)
     if (was == healthy)
         return;
     // A lane that just went unhealthy may hold queued jobs; wake its
-    // dispatcher so they fail over to the siblings now instead of on
+    // dispatchers so they fail over to the siblings now instead of on
     // the next push.
     lane.cv.notify_all();
     MetricsRegistry::global()
@@ -90,10 +96,6 @@ WorkerFleet::healthyCount() const
 std::size_t
 WorkerFleet::primeAll(const std::vector<StudyRequest> &requests)
 {
-    // One batch at a time: pending_/failures_ describe a single
-    // primeAll invocation, and interleaved batches would also fight
-    // over the bounded queues.
-    std::lock_guard<std::mutex> batch(batchMu_);
     if (lanes_.empty() || requests.empty())
         return 0;
 
@@ -101,24 +103,14 @@ WorkerFleet::primeAll(const std::vector<StudyRequest> &requests)
     // here keeps the dispatch counters meaningful.
     std::vector<const StudyRequest *> unique;
     {
-        std::vector<std::string> seen;
-        for (const StudyRequest &req : requests) {
-            const std::string key = req.canonicalKey();
-            bool dup = false;
-            for (const std::string &k : seen)
-                dup = dup || k == key;
-            if (dup)
-                continue;
-            seen.push_back(key);
-            unique.push_back(&req);
-        }
+        std::unordered_set<std::string> seen;
+        for (const StudyRequest &req : requests)
+            if (seen.insert(req.canonicalKey()).second)
+                unique.push_back(&req);
     }
 
-    {
-        std::lock_guard<std::mutex> lk(doneMu_);
-        pending_ = unique.size();
-        failures_ = 0;
-    }
+    auto latch = std::make_shared<Latch>();
+    latch->pending = unique.size();
 
     PhaseTimer timer("service.worker.primeSeconds");
     TraceSpan span("service.worker.prime", "service",
@@ -127,11 +119,15 @@ WorkerFleet::primeAll(const std::vector<StudyRequest> &requests)
     // workload-major, so a contiguous range keeps every sub-request
     // that shares a recorded trace on one worker — the trace is built
     // and stored once instead of once per worker (round-robin made
-    // each worker rebuild every workload's trace). Pushes interleave
-    // column-wise across lanes so the bounded queues fill in parallel
-    // instead of stalling on the first lane's cap. Blocks go only to
-    // healthy lanes; when the supervisor has every lane down we fall
-    // back to all of them and let failover sort out the survivors.
+    // each worker rebuild every workload's trace). The first block
+    // goes to the lane its workload hashes to, so requests for one
+    // workload keep landing on the worker that already holds its
+    // traces, and one-shard requests for different workloads spread
+    // over the fleet. Pushes interleave column-wise across lanes so
+    // the bounded queues fill in parallel instead of stalling on the
+    // first lane's cap. Blocks go only to healthy lanes; when the
+    // supervisor has every lane down we fall back to all of them and
+    // let failover sort out the survivors.
     std::vector<Lane *> targets;
     for (auto &lane : lanes_)
         if (lane->healthy.load(std::memory_order_relaxed))
@@ -140,18 +136,26 @@ WorkerFleet::primeAll(const std::vector<StudyRequest> &requests)
         for (auto &lane : lanes_)
             targets.push_back(lane.get());
     const std::size_t laneCount = targets.size();
+    const StudyRequest &first = *unique.front();
+    const auto workload = first.params.find("workload");
+    const std::size_t startLane =
+        fnv1a64(workload != first.params.end() ? workload->second
+                                               : first.canonicalKey()) %
+        laneCount;
     std::vector<std::vector<const StudyRequest *>> blocks(laneCount);
     for (std::size_t i = 0; i < unique.size(); ++i)
         blocks[i * laneCount / unique.size()].push_back(unique[i]);
     for (std::size_t off = 0;; ++off) {
         bool any = false;
-        for (std::size_t l = 0; l < laneCount; ++l) {
-            if (off >= blocks[l].size())
+        for (std::size_t b = 0; b < laneCount; ++b) {
+            if (off >= blocks[b].size())
                 continue;
             any = true;
             Job job;
-            job.request = *blocks[l][off];
-            push(*targets[l], std::move(job), /*bounded=*/true);
+            job.request = *blocks[b][off];
+            job.latch = latch;
+            push(*targets[(startLane + b) % laneCount], std::move(job),
+                 /*bounded=*/true);
         }
         if (!any)
             break;
@@ -159,9 +163,9 @@ WorkerFleet::primeAll(const std::vector<StudyRequest> &requests)
 
     std::size_t failed;
     {
-        std::unique_lock<std::mutex> lk(doneMu_);
-        doneCv_.wait(lk, [this] { return pending_ == 0; });
-        failed = failures_;
+        std::unique_lock<std::mutex> lk(latch->mu);
+        latch->cv.wait(lk, [&latch] { return latch->pending == 0; });
+        failed = latch->failures;
     }
     if (failed > 0)
         warn("worker fleet: ", failed,
@@ -181,7 +185,7 @@ WorkerFleet::push(Lane &lane, Job job, bool bounded)
             // — a dispatcher blocking on a full sibling queue while
             // that sibling blocks on ours would deadlock the fleet.
             // An unhealthy lane also stops blocking producers: its
-            // dispatcher is busy declining, so slots free up anyway.
+            // dispatchers are busy declining, so slots free up anyway.
             lane.cv.wait(lk, [this, &lane] {
                 return stopping_ ||
                        lane.queue.size() < cfg_.queueCap ||
@@ -189,7 +193,7 @@ WorkerFleet::push(Lane &lane, Job job, bool bounded)
             });
         if (stopping_) {
             lk.unlock();
-            jobDone(/*failed=*/true);
+            settle(job, /*failed=*/true);
             return;
         }
         lane.queue.push_back(std::move(job));
@@ -200,6 +204,7 @@ WorkerFleet::push(Lane &lane, Job job, bool bounded)
 void
 WorkerFleet::dispatchLoop(Lane &lane)
 {
+    std::unique_ptr<ServiceClient> client; // this slot's connection
     for (;;) {
         Job job;
         {
@@ -224,22 +229,19 @@ WorkerFleet::dispatchLoop(Lane &lane)
         if (!lane.healthy.load(std::memory_order_relaxed)) {
             metrics.counter(laneMetric(lane.index, "declined")).inc();
             metrics.counter("service.worker.declined").inc();
-            job.attempts += 1;
-            if (job.attempts >= lanes_.size()) {
-                jobDone(/*failed=*/true);
-                continue;
-            }
-            metrics.counter("service.worker.resubmitted").inc();
-            push(*lanes_[(lane.index + 1) % lanes_.size()],
-                 std::move(job), /*bounded=*/false);
+            failOver(lane, std::move(job));
             continue;
         }
         metrics.counter(laneMetric(lane.index, "dispatched")).inc();
         metrics.counter("service.worker.dispatched").inc();
-        if (runOn(lane, job)) {
+        Gauge &inflight = metrics.gauge(laneMetric(lane.index, "inflight"));
+        inflight.add(1);
+        const bool ok = runOn(lane, client, job);
+        inflight.add(-1);
+        if (ok) {
             metrics.counter(laneMetric(lane.index, "completed")).inc();
             metrics.counter("service.worker.completed").inc();
-            jobDone(/*failed=*/false);
+            settle(job, /*failed=*/false);
             continue;
         }
         // This worker declined (unreachable, past its deadline, or
@@ -247,34 +249,41 @@ WorkerFleet::dispatchLoop(Lane &lane)
         // every worker has had it.
         metrics.counter(laneMetric(lane.index, "failed")).inc();
         metrics.counter("service.worker.failed").inc();
-        job.attempts += 1;
-        if (job.attempts >= lanes_.size()) {
-            jobDone(/*failed=*/true);
-            continue;
-        }
-        metrics.counter("service.worker.resubmitted").inc();
-        push(*lanes_[(lane.index + 1) % lanes_.size()], std::move(job),
-             /*bounded=*/false);
+        failOver(lane, std::move(job));
     }
 }
 
+void
+WorkerFleet::failOver(const Lane &lane, Job job)
+{
+    job.attempts += 1;
+    if (job.attempts >= lanes_.size()) {
+        settle(job, /*failed=*/true);
+        return;
+    }
+    MetricsRegistry::global().counter("service.worker.resubmitted").inc();
+    push(*lanes_[(lane.index + 1) % lanes_.size()], std::move(job),
+         /*bounded=*/false);
+}
+
 bool
-WorkerFleet::runOn(Lane &lane, const Job &job)
+WorkerFleet::runOn(Lane &lane, std::unique_ptr<ServiceClient> &client,
+                   const Job &job)
 {
     const std::string key = job.request.canonicalKey();
     TraceSpan span("service.worker.run", "service",
                    "worker/w" + std::to_string(lane.index) + "/" +
                        traceHashId(key));
     try {
-        if (!lane.client) {
+        if (!client) {
             // The worker may still be binding its socket; dial with
             // patience on first contact.
             ClientConfig ccfg;
             ccfg.timeoutMs = cfg_.jobTimeoutMs;
             for (unsigned attempt = 0;; ++attempt) {
                 try {
-                    lane.client = std::make_unique<ServiceClient>(
-                        lane.socket, ccfg);
+                    client = std::make_unique<ServiceClient>(lane.socket,
+                                                             ccfg);
                     break;
                 } catch (const std::exception &) {
                     if (attempt + 1 >= cfg_.connectRetries)
@@ -286,7 +295,7 @@ WorkerFleet::runOn(Lane &lane, const Job &job)
                 }
             }
         }
-        const JsonValue response = lane.client->run(job.request);
+        const JsonValue response = client->run(job.request);
         if (response.boolOr("ok", false))
             return true;
         // A rejection (queue full, draining) is retryable elsewhere; a
@@ -299,22 +308,22 @@ WorkerFleet::runOn(Lane &lane, const Job &job)
         // so the next job (or this one, on a sibling) redials. After
         // a timeout the connection is mid-frame anyway — the late
         // response would desynchronize every reply after it.
-        lane.client.reset();
+        client.reset();
         return false;
     }
 }
 
 void
-WorkerFleet::jobDone(bool failed)
+WorkerFleet::settle(const Job &job, bool failed)
 {
+    Latch &latch = *job.latch;
     {
-        std::lock_guard<std::mutex> lk(doneMu_);
+        std::lock_guard<std::mutex> lk(latch.mu);
         if (failed)
-            failures_ += 1;
-        if (pending_ > 0)
-            pending_ -= 1;
+            latch.failures += 1;
+        latch.pending -= 1;
     }
-    doneCv_.notify_all();
+    latch.cv.notify_all();
 }
 
 // --- process supervision ----------------------------------------------

@@ -14,6 +14,21 @@
  * single-process output at any (workers, jobs, shards).
  *
  * Dispatch discipline:
+ *  - primeAll() is concurrent: each call owns a completion latch that
+ *    every one of its jobs carries and settles exactly once, so the
+ *    front's exec threads prime side by side and each call counts
+ *    only its own failures;
+ *  - workload affinity: a call's sub-requests split into contiguous
+ *    blocks over the healthy lanes, starting at lane
+ *    fnv1a64(first sub-request's "workload") mod healthy lanes (its
+ *    canonical key when it has no workload). A workload's recorded
+ *    trace, private trace and SRAM baseline thus stay in one worker's
+ *    memory across requests, and one-shard compares of different
+ *    workloads spread over the fleet;
+ *  - per-worker slots: each lane runs slotsPerWorker dispatcher
+ *    threads, each with its own connection, so two shards sent to one
+ *    worker run side by side on its exec threads and its exactly-once
+ *    trace store shares the build between them;
  *  - one bounded FIFO per worker (queueCap); primeAll() blocks when a
  *    worker's queue is full instead of buffering unboundedly;
  *  - a failed dispatch (worker unreachable, connection dropped, a
@@ -22,7 +37,7 @@
  *    unbounded so two full queues can never deadlock each other. A
  *    job is abandoned — counted as a permanent failure, the study
  *    still runs locally — only after every worker declined it;
- *  - lazy connections: a worker's socket is dialed on first use and
+ *  - lazy connections: a slot's socket is dialed on first use and
  *    redialed (with retry) after any failure, so workers may come up
  *    after the fleet;
  *  - lane health: the supervisor marks a lane unhealthy while its
@@ -50,8 +65,10 @@
  * Restarts count under "service.worker.restarts", quarantined lanes
  * under the "service.worker.quarantined" gauge; every spawn and death
  * is trace-marked. Per-worker dispatch/completion/failure counters
- * flow through the MetricsRegistry under "service.worker.*", and
- * every remote execution is bracketed by a "service.worker.run" span.
+ * and the "service.worker.w<i>.inflight" gauge (shards executing on
+ * worker i right now) flow through the MetricsRegistry under
+ * "service.worker.*", and every remote execution is bracketed by a
+ * "service.worker.run" span.
  */
 
 #ifndef NVMCACHE_SERVICE_WORKERS_HH
@@ -80,6 +97,9 @@ struct WorkerFleetConfig
 {
     /** Worker daemon socket paths; one dispatch lane per entry. */
     std::vector<std::string> sockets;
+    /** Dispatcher threads per lane, each with its own connection.
+        Match the workers' exec threads so each can run a shard. */
+    unsigned slotsPerWorker = 1;
     /** Bounded queue depth per worker (backpressure threshold). */
     std::size_t queueCap = 4;
     /** Dial attempts per connection, 100 ms apart, before the job
@@ -103,11 +123,13 @@ class WorkerFleet
     /**
      * Dispatch @p requests across the fleet and block until every one
      * has completed on some worker or been declined by all of them.
-     * Duplicate requests (by canonicalKey) are dispatched once.
-     * Returns the number of permanent failures — callers treat the
-     * primed store as best-effort, so a nonzero count degrades to
-     * local simulation, never to a wrong result. Serialized: a
-     * concurrent primeAll() waits its turn.
+     * Duplicate requests (by canonicalKey) are dispatched once, in
+     * contiguous blocks starting at the lane of the first request's
+     * workload (see the file comment). Returns the number of this
+     * call's permanent failures — callers treat the primed store as
+     * best-effort, so a nonzero count degrades to local simulation,
+     * never to a wrong result. Thread-safe: concurrent calls share the
+     * lanes and each waits only on its own latch.
      */
     std::size_t primeAll(const std::vector<StudyRequest> &requests);
 
@@ -125,9 +147,19 @@ class WorkerFleet
     std::size_t size() const { return lanes_.size(); }
 
   private:
+    /** Completion latch of one primeAll() call. */
+    struct Latch
+    {
+        std::mutex mu;
+        std::condition_variable cv;
+        std::size_t pending = 0;  ///< jobs not yet settled; guarded by mu
+        std::size_t failures = 0; ///< guarded by mu
+    };
+
     struct Job
     {
         StudyRequest request;
+        std::shared_ptr<Latch> latch;
         unsigned attempts = 0; ///< workers that have declined it
     };
 
@@ -139,15 +171,21 @@ class WorkerFleet
         std::mutex mu;
         std::condition_variable cv; ///< queue not-full / not-empty
         std::deque<Job> queue;      ///< guarded by mu
-        std::unique_ptr<ServiceClient> client; ///< dispatcher-owned
-        std::thread dispatcher;
+        std::vector<std::thread> dispatchers; ///< slotsPerWorker
     };
 
+    /** One slot: pops @p lane's jobs and runs them over its own
+        connection. */
     void dispatchLoop(Lane &lane);
-    /** Run one job on @p lane's worker; false = decline (failover). */
-    bool runOn(Lane &lane, const Job &job);
+    /** Run one job on @p lane's worker over @p client (dialed on
+        demand, reset on failure); false = decline (failover). */
+    bool runOn(Lane &lane, std::unique_ptr<ServiceClient> &client,
+               const Job &job);
+    /** Pass a declined job to the next sibling, or settle it as a
+        permanent failure once every worker has declined it. */
+    void failOver(const Lane &lane, Job job);
     void push(Lane &lane, Job job, bool bounded);
-    void jobDone(bool failed);
+    static void settle(const Job &job, bool failed);
 
     WorkerFleetConfig cfg_;
     std::vector<std::unique_ptr<Lane>> lanes_;
@@ -156,13 +194,6 @@ class WorkerFleet
         own mu — there is no common lock. Wakeups are still correct:
         the store happens before the notify under each lane's mu. */
     std::atomic<bool> stopping_{false};
-
-    std::mutex batchMu_; ///< serializes primeAll callers
-
-    std::mutex doneMu_;
-    std::condition_variable doneCv_;
-    std::size_t pending_ = 0;  ///< jobs enqueued, not yet settled
-    std::size_t failures_ = 0; ///< permanent failures this batch
 };
 
 // --- process supervision ----------------------------------------------

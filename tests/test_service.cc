@@ -823,52 +823,77 @@ freshStoreDir(const std::string &name)
 }
 
 /**
+ * @p count in-process worker servers over a fresh shared store. All
+ * servers live in this process, so they share the MetricsRegistry and
+ * the global ResultStore exactly like forked workers share the store
+ * directory. Declare a front after this so the front stops first.
+ */
+struct WorkerDaemons
+{
+    std::vector<std::unique_ptr<EvalServer>> servers;
+    std::vector<std::string> sockets;
+
+    WorkerDaemons(unsigned count, unsigned execThreads, unsigned jobs,
+                  const std::string &tag)
+    {
+        ResultStore::setGlobal(freshStoreDir("store_" + tag));
+        for (unsigned i = 0; i < count; ++i) {
+            ServeConfig wcfg;
+            wcfg.socketPath =
+                socketPathFor(tag + "_w" + std::to_string(i));
+            wcfg.execThreads = execThreads;
+            wcfg.jobs = jobs;
+            sockets.push_back(wcfg.socketPath);
+            servers.push_back(std::make_unique<EvalServer>(wcfg));
+            servers.back()->start();
+        }
+    }
+
+    ~WorkerDaemons()
+    {
+        for (auto &w : servers) {
+            w->requestStop();
+            w->wait();
+        }
+        ResultStore::setGlobal("");
+    }
+};
+
+/** Config of a front server dispatching to @p daemons. */
+ServeConfig
+frontConfig(const WorkerDaemons &daemons, unsigned execThreads,
+            unsigned jobs, const std::string &tag)
+{
+    ServeConfig cfg;
+    cfg.socketPath = socketPathFor(tag + "_front");
+    cfg.execThreads = execThreads;
+    cfg.jobs = jobs;
+    cfg.workerSockets = daemons.sockets;
+    return cfg;
+}
+
+/**
  * Run @p req through a front server dispatching to @p workers
  * in-process worker servers over a fresh shared store, and return
- * the front's full response. All servers live in this process, so
- * they share the MetricsRegistry and the global ResultStore exactly
- * like forked workers share the store directory.
+ * the front's full response.
  */
 JsonValue
 runThroughFleet(const StudyRequest &req, unsigned workers,
                 unsigned jobs, const std::string &tag)
 {
-    ResultStore::setGlobal(freshStoreDir("store_" + tag));
-
-    std::vector<std::unique_ptr<EvalServer>> fleet;
-    std::vector<std::string> sockets;
-    for (unsigned i = 0; i < workers; ++i) {
-        ServeConfig wcfg;
-        wcfg.socketPath =
-            socketPathFor(tag + "_w" + std::to_string(i));
-        wcfg.execThreads = 1;
-        wcfg.jobs = jobs;
-        sockets.push_back(wcfg.socketPath);
-        fleet.push_back(std::make_unique<EvalServer>(wcfg));
-        fleet.back()->start();
-    }
-
-    ServeConfig cfg;
-    cfg.socketPath = socketPathFor(tag + "_front");
-    cfg.execThreads = 1;
-    cfg.jobs = jobs;
-    cfg.workerSockets = sockets;
+    WorkerDaemons daemons(workers, 1, jobs, tag);
+    const ServeConfig cfg = frontConfig(daemons, 1, jobs, tag);
     EvalServer front(cfg);
     front.start();
 
-    JsonValue response;
-    {
-        ServiceClient client(cfg.socketPath);
-        response = client.run(req, "r");
-    }
-    front.requestStop();
-    front.wait();
-    for (auto &w : fleet) {
-        w->requestStop();
-        w->wait();
-    }
-    ResultStore::setGlobal("");
-    return response;
+    ServiceClient client(cfg.socketPath);
+    return client.run(req, "r");
+}
+
+std::uint64_t
+counterValue(const std::string &path)
+{
+    return MetricsRegistry::global().counter(path).get();
 }
 
 } // namespace
@@ -923,6 +948,94 @@ TEST(WorkerShard, ReliabilityGridShardsAcrossWorkers)
     EXPECT_DOUBLE_EQ(response.at("metrics")
                          .numberOr("runner.memo.simulations", 0.0),
                      0.0);
+}
+
+TEST(WorkerShard, ConcurrentComparesOfTwoWorkloadsUseBothWorkers)
+{
+    // fnv1a64("lbm") % 2 == 0 and fnv1a64("tonto") % 2 == 1: each
+    // one-shard compare starts at its own workload's lane.
+    const StudyRequest lbm = compareRequest("0.02", "lbm");
+    const StudyRequest tonto = compareRequest("0.02", "tonto");
+    const std::string lbmRef = runStudyRequest(lbm).resultJson();
+    const std::string tontoRef = runStudyRequest(tonto).resultJson();
+
+    WorkerDaemons daemons(2, 2, 1, "wsaff");
+    const ServeConfig cfg = frontConfig(daemons, 2, 1, "wsaff");
+    EvalServer front(cfg);
+    front.start();
+
+    const std::uint64_t w0 = counterValue("service.worker.w0.dispatched");
+    const std::uint64_t w1 = counterValue("service.worker.w1.dispatched");
+    TestClient client(cfg.socketPath);
+    client.sendRun(lbm, "lbm");
+    client.sendRun(tonto, "tonto");
+    const JsonValue lbmResp = client.waitFor("lbm");
+    const JsonValue tontoResp = client.waitFor("tonto");
+    ASSERT_TRUE(lbmResp.boolOr("ok", false)) << lbmResp.dump();
+    ASSERT_TRUE(tontoResp.boolOr("ok", false)) << tontoResp.dump();
+    EXPECT_EQ(lbmResp.at("result").dump(), lbmRef);
+    EXPECT_EQ(tontoResp.at("result").dump(), tontoRef);
+    EXPECT_EQ(counterValue("service.worker.w0.dispatched"), w0 + 1);
+    EXPECT_EQ(counterValue("service.worker.w1.dispatched"), w1 + 1);
+    // Nothing is executing on either worker once both replies are in.
+    MetricsRegistry &metrics = MetricsRegistry::global();
+    EXPECT_DOUBLE_EQ(metrics.gauge("service.worker.w0.inflight").get(),
+                     0.0);
+    EXPECT_DOUBLE_EQ(metrics.gauge("service.worker.w1.inflight").get(),
+                     0.0);
+}
+
+TEST(WorkerShard, OneWorkloadStaysOnOneWorkerAndBuildsItsTraceOnce)
+{
+    const std::vector<std::string> techs = {"Oh", "Chung", "Zhang"};
+    WorkerDaemons daemons(2, 2, 1, "wsone");
+    const ServeConfig cfg = frontConfig(daemons, 2, 1, "wsone");
+    EvalServer front(cfg);
+    front.start();
+
+    const std::uint64_t w0 = counterValue("service.worker.w0.dispatched");
+    const std::uint64_t w1 = counterValue("service.worker.w1.dispatched");
+    const std::uint64_t builds = counterValue("runner.traceStore.builds");
+    TestClient client(cfg.socketPath);
+    for (const std::string &tech : techs) {
+        StudyRequest req = compareRequest("0.02", "lbm");
+        req.params["tech"] = tech;
+        client.sendRun(req, tech);
+    }
+    for (const std::string &tech : techs) {
+        const JsonValue resp = client.waitFor(tech);
+        ASSERT_TRUE(resp.boolOr("ok", false)) << resp.dump();
+    }
+    // Every lbm shard went to lbm's lane, where concurrent shards
+    // shared one exactly-once trace build.
+    EXPECT_EQ(counterValue("service.worker.w0.dispatched"),
+              w0 + techs.size());
+    EXPECT_EQ(counterValue("service.worker.w1.dispatched"), w1);
+    EXPECT_EQ(counterValue("runner.traceStore.builds"), builds + 1);
+}
+
+TEST(WorkerShard, ConcurrentPrimeCallsCountTheirOwnFailures)
+{
+    WorkerDaemons daemons(2, 2, 1, "wslatch");
+    WorkerFleetConfig fcfg;
+    fcfg.sockets = daemons.sockets;
+    fcfg.slotsPerWorker = 2;
+    WorkerFleet fleet(fcfg);
+
+    // Every worker refuses the unknown parameter, so that call's only
+    // shard fails on both lanes while the other call's shard succeeds.
+    StudyRequest refused = compareRequest("0.02", "lbm");
+    refused.params["no-such-param"] = "1";
+    std::size_t validFailures = 99;
+    std::size_t refusedFailures = 99;
+    std::thread valid([&] {
+        validFailures = fleet.primeAll({compareRequest("0.02", "lbm")});
+    });
+    std::thread bad([&] { refusedFailures = fleet.primeAll({refused}); });
+    valid.join();
+    bad.join();
+    EXPECT_EQ(validFailures, 0u);
+    EXPECT_EQ(refusedFailures, 1u);
 }
 
 // --- failure handling: deadlines, timeouts, retries, recovery --------
