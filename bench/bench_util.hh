@@ -32,7 +32,6 @@ struct HarnessOptions
     bool color = true;
     bool quick = false; ///< trims sweeps for smoke runs
     unsigned jobs = 0;  ///< 0 = engine default (NVMCACHE_JOBS / cores)
-    unsigned shards = 0; ///< 0 = engine default (NVMCACHE_SHARDS / 1)
     std::string statsOut;      ///< "" = no structured report
     StatsFormat statsFormat = StatsFormat::Json;
     std::string traceOut;      ///< "" = tracing off
@@ -52,7 +51,6 @@ struct HarnessOptions
                 o.color = false;
             o.quick = parser.flag("--quick");
             o.jobs = parser.u32("--jobs", 0);
-            o.shards = parser.u32("--shards", 0);
             o.statsOut = parser.str("--stats-out", "");
             o.statsFormat =
                 parseStatsFormat(parser.str("--stats-format", "json"));

@@ -48,14 +48,13 @@ main(int argc, char **argv)
     const auto opts = HarnessOptions::parse(argc, argv);
     ExperimentRunner runner;
     runner.setJobs(opts.jobs);
-    runner.setShards(opts.shards);
 
     banner("Figure 1: Gainestown with fixed-capacity LLC");
     printArchitecture(runner.baseConfig());
 
-    FigureStudy study =
-        runFigureStudy(CapacityMode::FixedCapacity, runner,
-                       opts.quick ? 0.25 : 1.0);
+    FigureStudy study = runFigureStudy(
+        FigureConfig{CapacityMode::FixedCapacity, opts.quick ? 0.25 : 1.0},
+        runner);
     printFigure(study, "Fig 1", opts);
     opts.writeStats(aggregateSimStats(study));
     return 0;

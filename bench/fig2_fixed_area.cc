@@ -21,7 +21,6 @@ main(int argc, char **argv)
     const auto opts = HarnessOptions::parse(argc, argv);
     ExperimentRunner runner;
     runner.setJobs(opts.jobs);
-    runner.setShards(opts.shards);
 
     banner("Figure 2: Gainestown with fixed-area LLC");
     std::printf("Capacities at the 6.55 mm^2 budget:\n  ");
@@ -31,8 +30,9 @@ main(int argc, char **argv)
                     toMB(m.capacityBytes));
     std::printf("\n");
 
-    FigureStudy study = runFigureStudy(CapacityMode::FixedArea, runner,
-                                       opts.quick ? 0.25 : 1.0);
+    FigureStudy study = runFigureStudy(
+        FigureConfig{CapacityMode::FixedArea, opts.quick ? 0.25 : 1.0},
+        runner);
     printFigure(study, "Fig 2", opts);
     opts.writeStats(aggregateSimStats(study));
     return 0;

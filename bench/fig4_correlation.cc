@@ -63,15 +63,14 @@ main(int argc, char **argv)
     const auto opts = bench::HarnessOptions::parse(argc, argv);
     ExperimentRunner runner;
     runner.setJobs(opts.jobs);
-    runner.setShards(opts.shards);
-    const std::vector<std::string> techs{"Jan", "Xue", "Hayakawa"};
-    const std::vector<CapacityMode> modes{CapacityMode::FixedCapacity,
-                                          CapacityMode::FixedArea};
+    CorrelationConfig cfg;
+    cfg.techs = {"Jan", "Xue", "Hayakawa"};
+    cfg.modes = {CapacityMode::FixedCapacity, CapacityMode::FixedArea};
 
     bench::banner("SVI part 1: general-purpose system "
                   "(all 16 characterized workloads)");
-    CorrelationStudy general =
-        runCorrelationStudy(false, techs, modes, runner);
+    cfg.aiOnly = false;
+    CorrelationStudy general = runCorrelationStudy(cfg, runner);
     printStudy(general, "general", opts.color);
 
     // The paper's general-purpose claim: totals dominate.
@@ -96,8 +95,8 @@ main(int argc, char **argv)
 
     bench::banner("Fig 4a-f: AI-specialized system "
                   "(deepsjeng, leela, exchange2)");
-    CorrelationStudy ai = runCorrelationStudy(true, techs, modes,
-                                              runner);
+    cfg.aiOnly = true;
+    CorrelationStudy ai = runCorrelationStudy(cfg, runner);
     printStudy(ai, "AI", opts.color);
 
     // The paper's AI claim: entropy + unique/90% footprints dominate,

@@ -33,9 +33,8 @@ main(int argc, char **argv)
 
     ExperimentRunner runner;
     runner.setJobs(opts.jobs);
-    runner.setShards(opts.shards);
-    CoreSweepStudy study = runCoreSweep(workloads, techs, cores,
-                                        runner);
+    CoreSweepStudy study =
+        runCoreSweep(CoreSweepConfig{workloads, techs, cores}, runner);
 
     for (const std::string &w : workloads) {
         Table speedup("speedup vs 1-core SRAM: " + w);

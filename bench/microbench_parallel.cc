@@ -41,7 +41,7 @@ struct Measurement
 };
 
 Measurement
-measure(unsigned jobs, double scale, unsigned shards = 0)
+measure(unsigned jobs, double scale)
 {
     // Fresh runner per configuration: an empty memo, so each timing
     // pays for every simulation exactly once.
@@ -49,9 +49,9 @@ measure(unsigned jobs, double scale, unsigned shards = 0)
     m.jobs = jobs;
     ExperimentRunner runner;
     runner.setJobs(jobs);
-    runner.setShards(shards);
     const auto start = std::chrono::steady_clock::now();
-    m.study = runFigureStudy(CapacityMode::FixedCapacity, runner, scale);
+    m.study = runFigureStudy(
+        FigureConfig{CapacityMode::FixedCapacity, scale}, runner);
     const auto stop = std::chrono::steady_clock::now();
     m.seconds = std::chrono::duration<double>(stop - start).count();
     m.stats = runner.runnerStats();
@@ -128,24 +128,7 @@ main(int argc, char **argv)
                     (unsigned long long)m.stats.memoHits);
     }
 
-    // Intra-run threading: same sweep, jobs pinned to 1, the LLC of
-    // each run set-sharded instead. Exercises the orthogonal knob and
-    // re-checks the same bit-identity promise.
-    std::printf("\n%-8s %-12s %-10s\n", "shards", "wall[s]",
-                "speedup");
-    for (unsigned shards : {2u, 4u}) {
-        const Measurement m = measure(1, scale, shards);
-        identical = identical &&
-                    sameResults(serial.study.singleThreaded,
-                                m.study.singleThreaded) &&
-                    sameResults(serial.study.multiThreaded,
-                                m.study.multiThreaded);
-        std::printf("%-8u %-12.2f %-10.2f\n", shards, m.seconds,
-                    serial.seconds / m.seconds);
-    }
-
-    std::printf("\nresults bit-identical across job and shard "
-                "counts: %s\n",
+    std::printf("\nresults bit-identical across job counts: %s\n",
                 identical ? "yes" : "NO — DETERMINISM BUG");
     opts.writeStats();
     return identical ? 0 : 1;

@@ -179,27 +179,31 @@ static void
 BM_ReplayTrace(benchmark::State &state)
 {
     // Full LLC+DRAM replay of one recorded thread. arg1 selects the
-    // scheduler: 0 = legacy per-access, 1 = batch kernel (serial),
-    // 4 = batch kernel with 4 set shards. The recording is built
-    // once; each iteration replays it through a fresh System.
+    // engine: 0 = per-access min-local-time scheduler
+    // (System::run), 1 = batch kernel (System::runReplay). The
+    // recording is built once; each iteration replays it through a
+    // fresh System.
     const std::uint64_t accesses = std::uint64_t(state.range(0));
-    const unsigned mode = unsigned(state.range(1));
+    const bool kernel = state.range(1) != 0;
     SystemConfig cfg;
     cfg.numCores = 1;
     auto trace = RecordedTrace::record(microConfig(accesses), 1);
     auto cursors = trace->cursors();
     std::vector<BatchSource *> srcs{&cursors[0]};
     auto priv = PrivateTrace::record(srcs, cfg.core);
-    cfg.batchReplay = mode != 0;
-    cfg.shards = mode == 0 ? 1 : mode;
     const LlcModel model =
         publishedLlcModel("Chung", CapacityMode::FixedCapacity);
     for (auto _ : state) {
         cursors = trace->cursors();
-        std::vector<ReplaySource *> ptrs{&cursors[0]};
         System system(cfg, model);
-        benchmark::DoNotOptimize(
-            system.runReplay(ptrs, priv.get()));
+        if (kernel) {
+            std::vector<ReplaySource *> ptrs{&cursors[0]};
+            benchmark::DoNotOptimize(
+                system.runReplay(ptrs, priv.get()));
+        } else {
+            std::vector<BatchSource *> ptrs{&cursors[0]};
+            benchmark::DoNotOptimize(system.run(ptrs, priv.get()));
+        }
     }
     state.SetItemsProcessed(state.iterations() * accesses);
     MetricsRegistry &reg = MetricsRegistry::global();
@@ -211,7 +215,6 @@ BM_ReplayTrace(benchmark::State &state)
 BENCHMARK(BM_ReplayTrace)
     ->Args({200'000, 0})
     ->Args({200'000, 1})
-    ->Args({200'000, 4})
     ->Unit(benchmark::kMillisecond);
 
 static void
@@ -221,14 +224,12 @@ BM_TechSweep(benchmark::State &state)
     // experiment engine: this is the figure-level cost the record-
     // once/replay-many stores exist to cut. A fresh runner per
     // iteration makes every iteration pay one trace record, one
-    // private-level record, and eleven replays. arg1 = jobs, arg2 =
-    // shards (0 = legacy per-access scheduler instead of the batch
-    // kernel). Single-threaded recording, so replays go through the
-    // batch kernel (multi-source runs fall back to the legacy
-    // scheduler regardless of the knobs).
+    // private-level record, and eleven replays. arg1 = jobs; arg2 is
+    // a fixed 1 that keeps the names of the committed baseline
+    // (bench/BENCH_baseline.json). Single-threaded recording, so
+    // replays go through the batch kernel.
     const std::uint64_t accesses = std::uint64_t(state.range(0));
     const unsigned jobs = unsigned(state.range(1));
-    const unsigned shards = unsigned(state.range(2));
     BenchmarkSpec spec;
     spec.name = "microzipf";
     spec.gen = microConfig(accesses);
@@ -236,8 +237,6 @@ BM_TechSweep(benchmark::State &state)
     for (auto _ : state) {
         ExperimentRunner runner;
         runner.setJobs(jobs);
-        runner.setShards(shards == 0 ? 1 : shards);
-        runner.setBatchReplay(shards != 0);
         TechSweep sweep =
             runner.sweepTechs(spec, CapacityMode::FixedCapacity);
         benchmark::DoNotOptimize(sweep);
@@ -249,9 +248,7 @@ BM_TechSweep(benchmark::State &state)
     state.SetItemsProcessed(state.iterations() * accesses);
 }
 BENCHMARK(BM_TechSweep)
-    ->Args({200'000, 1, 0})
     ->Args({200'000, 1, 1})
-    ->Args({200'000, 1, 4})
     ->Args({200'000, 4, 1})
     ->Unit(benchmark::kMillisecond);
 

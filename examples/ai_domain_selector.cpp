@@ -25,12 +25,14 @@ int
 main()
 {
     ExperimentRunner runner;
-    const std::vector<std::string> techs{"Jan", "Xue", "Hayakawa"};
+    CorrelationConfig cfg;
+    cfg.aiOnly = true;
+    cfg.techs = {"Jan", "Xue", "Hayakawa"};
+    cfg.modes = {CapacityMode::FixedArea};
 
     std::printf("characterizing the AI workloads "
                 "(deepsjeng, leela, exchange2)...\n");
-    CorrelationStudy study = runCorrelationStudy(
-        true, techs, {CapacityMode::FixedArea}, runner);
+    CorrelationStudy study = runCorrelationStudy(cfg, runner);
 
     for (std::size_t i = 0; i < study.workloads.size(); ++i) {
         const WorkloadFeatures &f = study.features[i];
@@ -68,7 +70,7 @@ main()
                 "track working-set structure,\nnot access totals -> "
                 "pick the density-targeted NVM.\n\n");
     const LlcModel *densest = nullptr;
-    for (const std::string &t : techs) {
+    for (const std::string &t : cfg.techs) {
         const LlcModel &m =
             publishedLlcModel(t, CapacityMode::FixedArea);
         std::printf("  %-12s %4.0f MB in the area budget\n",

@@ -170,8 +170,7 @@ runKey(const GeneratorConfig &gen, const LlcModel &llc,
  * on-disk run key. The in-memory memo is per-runner so it never needs
  * this, but the disk store is shared by arbitrary processes whose
  * base configurations may differ (fault knobs are already inside
- * runKey(); numCores comes in as the per-run thread count, and
- * shards/batchReplay are bit-identical execution strategies).
+ * runKey(), and numCores comes in as the per-run thread count).
  */
 std::string
 baseConfigKey(const SystemConfig &cfg)
@@ -383,7 +382,7 @@ TechSweep::byClass(NvmClass klass) const
 
 ExperimentRunner::ExperimentRunner(SystemConfig base)
     : base_(std::move(base)), jobs_(defaultJobs()),
-      shards_(defaultShards()), memo_(std::make_shared<Memo>()),
+      memo_(std::make_shared<Memo>()),
       store_(ResultStore::global()),
       diskBaseKey_(baseConfigKey(base_))
 {
@@ -394,14 +393,6 @@ ExperimentRunner::setJobs(unsigned jobs)
 {
     jobs_ = jobs == 0 ? defaultJobs() : jobs;
     MetricsRegistry::global().gauge("runner.jobs").set(double(jobs_));
-}
-
-void
-ExperimentRunner::setShards(unsigned shards)
-{
-    shards_ = shards == 0 ? defaultShards() : shards;
-    MetricsRegistry::global().gauge("runner.shards")
-        .set(double(shards_));
 }
 
 RunnerStats
@@ -551,8 +542,6 @@ ExperimentRunner::simulateUncached(const BenchmarkSpec &spec,
 {
     SystemConfig cfg = base_;
     cfg.numCores = threads;
-    cfg.shards = shards_;
-    cfg.batchReplay = batchReplay_;
     cfg.perCoreLlcStats = spec.gen.perThreadStats;
 
     // Replay the workload's recorded trace: generation happens once

@@ -172,24 +172,6 @@ class ExperimentRunner
     void setJobs(unsigned jobs);
     unsigned jobs() const { return jobs_; }
 
-    /**
-     * LLC set shards of each simulation run (intra-run threading of
-     * the batch-replay kernel; see SystemConfig::shards). Defaults
-     * to defaultShards() (NVMCACHE_SHARDS env var, else 1); @p shards
-     * 0 restores that default. Results are bit-identical at any
-     * value, so the knob never enters the memo key.
-     */
-    void setShards(unsigned shards);
-    unsigned shards() const { return shards_; }
-
-    /**
-     * Force the legacy per-access replay scheduler instead of the
-     * batch-decode kernel (SystemConfig::batchReplay). Both paths
-     * are bit-identical; this exists so benchmarks and tests can
-     * measure one against the other. Never enters the memo key.
-     */
-    void setBatchReplay(bool on) { batchReplay_ = on; }
-
     /** Counters since construction (shared by copies). */
     RunnerStats runnerStats() const;
 
@@ -202,8 +184,6 @@ class ExperimentRunner
 
     SystemConfig base_;
     unsigned jobs_;
-    unsigned shards_;
-    bool batchReplay_ = true;
     std::shared_ptr<Memo> memo_; ///< shared so copies reuse runs
 
     /**

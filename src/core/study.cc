@@ -46,13 +46,6 @@ prefetchRuns(const ExperimentRunner &runner,
 } // namespace
 
 FigureStudy
-runFigureStudy(CapacityMode mode, const ExperimentRunner &runner,
-               double traceScale)
-{
-    return runFigureStudy(FigureConfig{mode, traceScale}, runner);
-}
-
-FigureStudy
 runFigureStudy(const FigureConfig &cfg, const ExperimentRunner &runner)
 {
     const CapacityMode mode = cfg.mode;
@@ -103,19 +96,6 @@ CoreSweepStudy::at(const std::string &workload, const std::string &tech,
             return p;
     fatal("CoreSweepStudy: missing point (", workload, ", ", tech,
           ", ", cores, ")");
-}
-
-CoreSweepStudy
-runCoreSweep(const std::vector<std::string> &workloads,
-             const std::vector<std::string> &techs,
-             const std::vector<std::uint32_t> &coreCounts,
-             const ExperimentRunner &runner)
-{
-    CoreSweepConfig cfg;
-    cfg.workloads = workloads;
-    cfg.techs = techs;
-    cfg.coreCounts = coreCounts;
-    return runCoreSweep(cfg, runner);
 }
 
 CoreSweepStudy
@@ -178,19 +158,6 @@ runCoreSweep(const CoreSweepConfig &cfg, const ExperimentRunner &runner)
         }
     }
     return study;
-}
-
-CorrelationStudy
-runCorrelationStudy(bool aiOnly, const std::vector<std::string> &techs,
-                    const std::vector<CapacityMode> &modes,
-                    const ExperimentRunner &runner, double traceScale)
-{
-    CorrelationConfig cfg;
-    cfg.aiOnly = aiOnly;
-    cfg.techs = techs;
-    cfg.modes = modes;
-    cfg.traceScale = traceScale;
-    return runCorrelationStudy(cfg, runner);
 }
 
 namespace {
@@ -462,7 +429,6 @@ runReliabilityStudy(const ReliabilityConfig &cfg, RunnerPool *pool)
             ExperimentRunner runner =
                 pool ? pool->acquire(sys) : ExperimentRunner(sys);
             runner.setJobs(cfg.jobs);
-            runner.setShards(cfg.shards);
 
             TechSweep sweep =
                 runner.sweepTechs(spec, cfg.mode, cfg.threads);

@@ -42,14 +42,6 @@ struct FigureConfig
 FigureStudy runFigureStudy(const FigureConfig &cfg,
                            const ExperimentRunner &runner);
 
-/**
- * @deprecated Positional wrapper kept so existing bench binaries
- * compile unchanged; prefer the FigureConfig overload.
- */
-FigureStudy runFigureStudy(CapacityMode mode,
-                           const ExperimentRunner &runner,
-                           double traceScale = 1.0);
-
 /** One point of the §V-C core sweep. */
 struct CoreSweepPoint
 {
@@ -93,15 +85,6 @@ struct CoreSweepConfig
  * single-core SRAM system running the same total work.
  */
 CoreSweepStudy runCoreSweep(const CoreSweepConfig &cfg,
-                            const ExperimentRunner &runner);
-
-/**
- * @deprecated Positional wrapper kept so existing bench binaries
- * compile unchanged; prefer the CoreSweepConfig overload.
- */
-CoreSweepStudy runCoreSweep(const std::vector<std::string> &workloads,
-                            const std::vector<std::string> &techs,
-                            const std::vector<std::uint32_t> &coreCounts,
                             const ExperimentRunner &runner);
 
 /** Which outcomes the correlation study feeds the framework. */
@@ -173,15 +156,6 @@ CorrelationStudy runCorrelationStudy(const CorrelationConfig &cfg,
                                      const ExperimentRunner &runner);
 
 /**
- * @deprecated Positional wrapper kept so existing bench binaries
- * compile unchanged; prefer the CorrelationConfig overload.
- */
-CorrelationStudy runCorrelationStudy(
-    bool aiOnly, const std::vector<std::string> &techs,
-    const std::vector<CapacityMode> &modes,
-    const ExperimentRunner &runner, double traceScale = 1.0);
-
-/**
  * Canned server-traffic grid (the "modern use case behavior" probe):
  * kv and tenants points over read-ratio x skew x tenant-count, each
  * measured-characterized (warm-up excluded) and simulated across ALL
@@ -250,7 +224,6 @@ struct ReliabilityConfig
     CapacityMode mode = CapacityMode::FixedCapacity;
     std::uint32_t threads = 0; ///< 0 = workload default
     unsigned jobs = 0;         ///< 0 = defaultJobs()
-    unsigned shards = 0;       ///< LLC set shards/run; 0 = default
     double traceScale = 1.0;
     std::vector<double> berScales{1.0, 8.0, 64.0};
     std::vector<double> wearLevelingFactors{1.0, 0.5, 0.125};

@@ -1,6 +1,5 @@
 #include "core/study_registry.hh"
 
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
@@ -628,7 +627,6 @@ class ReliabilityStudyDef : public Study
         // them warm across requests. Concurrency follows the
         // dispatching runner.
         cfg_.jobs = runner.jobs();
-        cfg_.shards = runner.shards();
         study_ = runReliabilityStudy(cfg_, pool_);
     }
 
@@ -973,7 +971,6 @@ runStudy(Study &study, const StudyRunOptions &opts)
     study.setRunnerPool(pool);
     ExperimentRunner runner = pool->acquire();
     runner.setJobs(opts.jobs);
-    runner.setShards(opts.shards);
     TraceScope scope(
         TraceContext::current().child("study/" + study.name()));
     {
@@ -986,35 +983,13 @@ runStudy(Study &study, const StudyRunOptions &opts)
     return study.report();
 }
 
-unsigned
-extractShardsParam(ParamMap &params, unsigned fallback)
-{
-    const auto it = params.find("shards");
-    if (it == params.end())
-        return fallback;
-    char *end = nullptr;
-    const unsigned long n = std::strtoul(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-        throw std::invalid_argument(
-            "study parameter shards='" + it->second +
-            "' is not a non-negative integer");
-    params.erase(it);
-    return unsigned(n);
-}
-
 StudyReport
 runStudyRequest(const StudyRequest &req, const StudyRunOptions &opts)
 {
     std::unique_ptr<Study> study =
         StudyRegistry::global().create(req.kind);
-
-    // A request-level "shards" value overrides the dispatch default.
-    StudyRunOptions effective = opts;
-    ParamMap params = req.params;
-    effective.shards = extractShardsParam(params, opts.shards);
-
-    study->parse(params);
-    return runStudy(*study, effective);
+    study->parse(req.params);
+    return runStudy(*study, opts);
 }
 
 } // namespace nvmcache

@@ -154,20 +154,10 @@ class StudyRegistry
     std::map<std::string, Factory> factories_;
 };
 
-/**
- * Strip the "shards" execution knob out of @p params: returns its
- * parsed value and erases the entry, or @p fallback when absent.
- * Kept separate from Study::parse so every study kind accepts the
- * knob uniformly (it selects intra-run threading, never results).
- * Throws std::invalid_argument on a malformed value.
- */
-unsigned extractShardsParam(ParamMap &params, unsigned fallback);
-
 /** Execution knobs shared by every dispatch site. */
 struct StudyRunOptions
 {
     unsigned jobs = 0;          ///< 0 = engine default
-    unsigned shards = 0;        ///< LLC set shards/run; 0 = default
     RunnerPool *pool = nullptr; ///< nullptr = ephemeral runners
 };
 

@@ -424,12 +424,9 @@ EvalServer::handleRun(const std::shared_ptr<Conn> &conn,
     // Create and parse up front so malformed requests fail immediately
     // instead of occupying a queue slot.
     std::unique_ptr<Study> study;
-    unsigned shards = cfg_.shards;
     try {
         study = StudyRegistry::global().create(req.study.kind);
-        ParamMap params = req.study.params;
-        shards = extractShardsParam(params, cfg_.shards);
-        study->parse(params);
+        study->parse(req.study.params);
     } catch (const std::exception &e) {
         respond(conn, errorResponse(req.id, e.what()));
         return;
@@ -481,7 +478,6 @@ EvalServer::handleRun(const std::shared_ptr<Conn> &conn,
         exec->key = key;
         exec->study = std::move(study);
         exec->queueDepthAtEnqueue = queue_.size();
-        exec->shards = shards;
         exec->traceId = newTraceId();
         exec->waiters.push_back(std::move(waiter));
         inflight_.emplace(key, exec);
@@ -585,7 +581,6 @@ EvalServer::runExecution(const std::shared_ptr<Execution> &exec)
                        TraceContext::current().path);
         StudyRunOptions opts;
         opts.jobs = cfg_.jobs;
-        opts.shards = exec->shards;
         opts.pool = &pool_;
         if (fleet_) {
             // Warm the shared persistent store through the worker
@@ -706,9 +701,7 @@ EvalServer::journalLoad()
             auto exec = std::make_shared<Execution>();
             exec->study =
                 StudyRegistry::global().create(request.kind);
-            ParamMap params = request.params;
-            exec->shards = extractShardsParam(params, cfg_.shards);
-            exec->study->parse(params);
+            exec->study->parse(request.params);
             exec->request = std::move(request);
             exec->key = key;
             exec->traceId = newTraceId();
@@ -795,7 +788,6 @@ serveMain(ServeConfig cfg)
         const std::string storeDir = ResultStore::global()->dir();
         const std::vector<std::string> sockets = cfg.workerSockets;
         const unsigned jobs = cfg.jobs;
-        const unsigned shards = cfg.shards;
         const unsigned queueDepth = cfg.queueDepth;
         const unsigned execThreads = cfg.execThreads;
         sup.command = [=](std::size_t index) {
@@ -813,10 +805,6 @@ serveMain(ServeConfig cfg)
             if (jobs > 0) {
                 argv.push_back("--jobs");
                 argv.push_back(std::to_string(jobs));
-            }
-            if (shards > 0) {
-                argv.push_back("--shards");
-                argv.push_back(std::to_string(shards));
             }
             return argv;
         };

@@ -106,9 +106,6 @@ struct ServeConfig
     std::vector<std::string> workerSockets;
     /** Experiment-engine jobs per study (0 = engine default). */
     unsigned jobs = 0;
-    /** LLC set shards per simulation run (0 = engine default); a
-        request-level "shards" parameter overrides this. */
-    unsigned shards = 0;
     /** Supervision interval and heartbeat receive timeout for the
         worker supervisor (`--heartbeat-ms`). */
     unsigned heartbeatMs = 500;
@@ -221,7 +218,6 @@ class EvalServer
         std::unique_ptr<Study> study; ///< parsed, ready to run
         std::vector<Waiter> waiters;  ///< guarded by queueMu_
         std::size_t queueDepthAtEnqueue = 0;
-        unsigned shards = 0; ///< resolved execution knob
         /** Server-side trace id; echoed as "t<N>" to every waiter. */
         std::uint64_t traceId = 0;
         /** Recovered from the journal: no waiters, runs anyway. */

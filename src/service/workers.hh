@@ -11,7 +11,7 @@
  * into the shared on-disk ResultStore. The front then runs the full
  * study locally against the warmed store — every run is a disk hit —
  * so the merged report is structurally byte-identical to
- * single-process output at any (workers, jobs, shards).
+ * single-process output at any (workers, jobs).
  *
  * Dispatch discipline:
  *  - primeAll() is concurrent: each call owns a completion latch that

@@ -276,46 +276,6 @@ SetAssocCache::invalidate(std::uint64_t addr)
 }
 
 void
-SetAssocCache::absorbShard(const SetAssocCache &shard,
-                           std::uint64_t setBegin,
-                           std::uint64_t setEnd)
-{
-    const std::uint32_t assoc = geom_.associativity;
-    const std::size_t lineBegin = std::size_t(setBegin) * assoc;
-    const std::size_t lineEnd = std::size_t(setEnd) * assoc;
-    std::copy(shard.meta_.begin() + lineBegin,
-              shard.meta_.begin() + lineEnd,
-              meta_.begin() + lineBegin);
-    if (ranked_) {
-        std::copy(shard.ranks_.begin() + setBegin,
-                  shard.ranks_.begin() + setEnd,
-                  ranks_.begin() + setBegin);
-    } else {
-        // Clock values from different shards never mix within one
-        // set, so per-set recency order is preserved verbatim.
-        std::copy(shard.lastUse_.begin() + lineBegin,
-                  shard.lastUse_.begin() + lineEnd,
-                  lastUse_.begin() + lineBegin);
-        useClock_ = std::max(useClock_, shard.useClock_);
-    }
-    for (std::uint64_t s = setBegin; s < setEnd; ++s) {
-        retiredCount_ +=
-            std::uint64_t(std::popcount(shard.retired_[s])) -
-            std::uint64_t(std::popcount(retired_[s]));
-        retired_[s] = shard.retired_[s];
-    }
-    std::copy(shard.setEvictions_.begin() + setBegin,
-              shard.setEvictions_.begin() + setEnd,
-              setEvictions_.begin() + setBegin);
-    std::copy(shard.lineWrites_.begin() + lineBegin,
-              shard.lineWrites_.begin() + lineEnd,
-              lineWrites_.begin() + lineBegin);
-    hits_ += shard.hits_;
-    misses_ += shard.misses_;
-    writebacks_ += shard.writebacks_;
-}
-
-void
 SetAssocCache::resetStats()
 {
     hits_ = misses_ = writebacks_ = 0;

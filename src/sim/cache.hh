@@ -131,23 +131,6 @@ class SetAssocCache
         return meta_.size() - retiredCount_;
     }
 
-    /** Set index @p addr maps to (for set-sharded replay routing). */
-    std::uint64_t setIndexOf(std::uint64_t addr) const
-    {
-        return setIndex(addr);
-    }
-
-    /**
-     * Fold a set-shard's state back in: copy everything per-set /
-     * per-line of sets [@p setBegin, @p setEnd) — which only
-     * @p shard accessed — and sum the whole-cache counters. @p shard
-     * must have identical geometry. After every shard of a disjoint
-     * set partition is absorbed, this cache's state and statistics
-     * equal a serial run's bit for bit.
-     */
-    void absorbShard(const SetAssocCache &shard,
-                     std::uint64_t setBegin, std::uint64_t setEnd);
-
     const CacheGeometry &geometry() const { return geom_; }
 
     // --- stats -------------------------------------------------------

@@ -128,27 +128,6 @@ FaultInjector::classifyArrayWrite(std::uint64_t line)
     return out;
 }
 
-void
-FaultInjector::absorbShard(const FaultInjector &shard,
-                           std::uint64_t lineBegin,
-                           std::uint64_t lineEnd)
-{
-    for (std::uint64_t i = lineBegin; i < lineEnd; ++i) {
-        drawCount_[i] = shard.drawCount_[i];
-        wear_[i] = shard.wear_[i];
-    }
-    st_.injectedWrites += shard.st_.injectedWrites;
-    st_.writeRetries += shard.st_.writeRetries;
-    st_.retryCycles += shard.st_.retryCycles;
-    st_.writeScrubs += shard.st_.writeScrubs;
-    st_.readScrubs += shard.st_.readScrubs;
-    st_.scrubCycles += shard.st_.scrubCycles;
-    st_.uncorrectable += shard.st_.uncorrectable;
-    st_.eccRetirements += shard.st_.eccRetirements;
-    st_.wearRetirements += shard.st_.wearRetirements;
-    st_.noWayBypasses += shard.st_.noWayBypasses;
-}
-
 FaultInjector::ReadOutcome
 FaultInjector::onRead(std::uint64_t line)
 {

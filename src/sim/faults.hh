@@ -163,11 +163,9 @@ class FaultInjector
 
     /**
      * The deterministic half of onArrayWrite: draws, event counters
-     * and wear, but not the retries-per-write histogram. The sharded
-     * replay engine classifies on per-shard injectors and adds the
-     * histogram sample later in global order via noteRetries(), so
-     * the histogram's (order-sensitive) accumulator state matches a
-     * serial run bit for bit.
+     * and wear, but not the retries-per-write histogram. The LLC
+     * classifies a write here and adds the histogram sample when it
+     * applies the write's cost, via noteRetries().
      */
     WriteOutcome classifyArrayWrite(std::uint64_t line);
 
@@ -209,18 +207,6 @@ class FaultInjector
 
     /** Accumulated wear of @p line (for tests/inspection). */
     double lineWear(std::uint64_t line) const { return wear_[line]; }
-
-    /**
-     * Fold a set-shard's classification state back in: copy the
-     * per-line draw counters and wear of lines [@p lineBegin,
-     * @p lineEnd) — which only @p shard touched — and sum the event
-     * counters. The shard never ticks, never notes retries, and
-     * never reaches the cost-accounting fields (retryCycles,
-     * scrubCycles stay 0 there), so this injector's histogram and
-     * capacity samples remain the sole, serially-ordered copies.
-     */
-    void absorbShard(const FaultInjector &shard,
-                     std::uint64_t lineBegin, std::uint64_t lineEnd);
 
     /**
      * Publish counters, the retries-per-write histogram, and the

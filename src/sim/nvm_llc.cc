@@ -391,25 +391,6 @@ SharedLlc::traceSimFinal(std::uint64_t now)
         simChannelSample(now);
 }
 
-void
-SharedLlc::absorbShard(const SharedLlc &shard, std::uint64_t setBegin,
-                       std::uint64_t setEnd)
-{
-    tags_.absorbShard(shard.tags_, setBegin, setEnd);
-    stats_.demandReads += shard.stats_.demandReads;
-    stats_.demandHits += shard.stats_.demandHits;
-    stats_.demandMisses += shard.stats_.demandMisses;
-    stats_.fills += shard.stats_.fills;
-    stats_.writebacksIn += shard.stats_.writebacksIn;
-    stats_.dirtyEvictions += shard.stats_.dirtyEvictions;
-    stats_.writeBypasses += shard.stats_.writeBypasses;
-    if (injector_)
-        injector_->absorbShard(
-            *shard.injector_,
-            setBegin * cfg_.associativity,
-            setEnd * cfg_.associativity);
-}
-
 double
 SharedLlc::missRate() const
 {

@@ -86,12 +86,10 @@ struct LlcWritebackOutcome
 /**
  * Timing-independent verdict of one LLC operation: everything the
  * tag walk and the fault draws decide, with no cycle arithmetic and
- * no floating-point statistics. classifyRead/classifyWriteback
- * produce one; finishRead/finishWriteback consume it later (possibly
- * on a different thread) to apply the order-sensitive half —
- * latencies, bank accounting, energies and histograms — in global
- * access order, so a sharded classification pass composes into
- * bit-identical SimStats.
+ * no floating-point statistics. SharedLlc's demand path produces one
+ * per operation and then applies the timing half — latencies, bank
+ * accounting, energies and histograms — from it; the simulated-time
+ * trace channel samples its events from the same verdict.
  */
 struct LlcDecision
 {
@@ -150,63 +148,6 @@ class SharedLlc
     /** Writeback (dirty L2 eviction) at global cycle @p now. */
     LlcWritebackOutcome writeback(std::uint64_t addr, std::uint64_t now);
 
-    // --- split demand path (set-sharded replay) ----------------------
-    //
-    // demandRead == tickFaults + classifyRead + finishRead, and
-    // writeback == tickFaults + classifyWriteback + finishWriteback,
-    // by construction (the fused entry points above are implemented
-    // as exactly that composition). classify* mutates only per-set
-    // tag state, per-line fault state and integer counters, so a
-    // disjoint set partition may run its classifications on separate
-    // SharedLlc instances concurrently; finish* applies the
-    // order-sensitive remainder and must run in global access order
-    // on the instance that reports statistics.
-
-    /** Tag walk + fault draws of one demand read (no timing). */
-    LlcDecision classifyRead(std::uint64_t addr);
-
-    /** Tag walk + fault draws of one writeback (no timing). */
-    LlcDecision classifyWriteback(std::uint64_t addr);
-
-    /** Timing/energy/histograms of a classified demand read. */
-    LlcReadOutcome finishRead(const LlcDecision &d, std::uint64_t addr,
-                              std::uint64_t now);
-
-    /** Timing/energy/histograms of a classified writeback. */
-    LlcWritebackOutcome finishWriteback(const LlcDecision &d,
-                                        std::uint64_t addr,
-                                        std::uint64_t now);
-
-    /** The fault layer's per-access heartbeat (no-op when off). */
-    void
-    tickFaults(std::uint64_t liveLines)
-    {
-        if (injector_)
-            injector_->tick(liveLines);
-    }
-
-    bool faultsEnabled() const { return injector_ != nullptr; }
-
-    /** Set index @p addr maps to in the tag array. */
-    std::uint64_t setIndexOf(std::uint64_t addr) const
-    {
-        return tags_.setIndexOf(addr);
-    }
-
-    /** Tag-array geometry (set count, line count, replacement). */
-    const CacheGeometry &geometry() const { return tags_.geometry(); }
-
-    /**
-     * Fold a set-shard's classification state back in: tag array and
-     * fault state of sets [@p setBegin, @p setEnd) plus the integer
-     * counters the classify pass accumulates. The shard must share
-     * this LLC's model/config and must only have classified accesses
-     * of that set range; its timing-side state (banks, energies,
-     * histograms) is provably untouched and is not transferred.
-     */
-    void absorbShard(const SharedLlc &shard, std::uint64_t setBegin,
-                     std::uint64_t setEnd);
-
     /** Host prefetch of @p addr's tag set (perf hint, no effect). */
     void prefetchTag(std::uint64_t addr) const
     {
@@ -235,16 +176,33 @@ class SharedLlc
     void traceSimFinal(std::uint64_t now);
 
   private:
+    // demandRead == fault tick + classifyRead + finishRead, and
+    // writeback == fault tick + classifyWriteback + finishWriteback.
+    // classify* runs the tag walk and fault draws (per-set tag state,
+    // per-line fault state, integer counters); finish* applies the
+    // timing, energy and histogram half from the verdict.
+
+    /** Tag walk + fault draws of one demand read (no timing). */
+    LlcDecision classifyRead(std::uint64_t addr);
+
+    /** Tag walk + fault draws of one writeback (no timing). */
+    LlcDecision classifyWriteback(std::uint64_t addr);
+
+    /** Timing/energy/histograms of a classified demand read. */
+    LlcReadOutcome finishRead(const LlcDecision &d, std::uint64_t addr,
+                              std::uint64_t now);
+
+    /** Timing/energy/histograms of a classified writeback. */
+    LlcWritebackOutcome finishWriteback(const LlcDecision &d,
+                                        std::uint64_t addr,
+                                        std::uint64_t now);
+
     /**
      * Simulated-time trace channel (present only when tracing was
      * enabled at construction): periodic counter samples of LLC
      * events against simulated cycles. Keeps its own cumulative
-     * counters fed exclusively from the finish* entry points —
-     * during sharded replay the stats_ counters accumulate on the
-     * shard instances until absorbShard(), so sampling them here
-     * would undercount; finish* always runs in global order on the
-     * reporting instance with identical decisions on every path,
-     * which keeps the channel deterministic at any shard count.
+     * counters, fed from each operation's LlcDecision in finish*,
+     * so the samples follow the access order of the run.
      */
     struct SimChannel
     {

@@ -1,6 +1,8 @@
 #include "sim/private_trace.hh"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "util/logging.hh"
 #include "util/wire.hh"
@@ -148,6 +150,44 @@ PrivateTrace::deserialize(const std::string &payload)
         return c;
     };
 
+    // PrivateCursor decodes without bounds checks, so a lane must
+    // hold exactly what record() writes: nibbles with a valid outcome
+    // and at most PrivateEvent::wb.size() writebacks, and a writeback
+    // stream of exactly those writebacks' varints followed by
+    // kVarintPad zero bytes (getVarintFast loads 8-byte windows).
+    const auto checkLane = [](const Lane &lane, std::uint32_t t) {
+        const auto fail = [t](std::uint64_t event, const char *what) {
+            throw std::runtime_error(
+                "PrivateTrace payload: lane " + std::to_string(t) +
+                " event " + std::to_string(event) + ": " + what);
+        };
+        if (lane.wbStream.size() < kVarintPad)
+            fail(0, "writeback stream shorter than its padding");
+        const std::uint8_t *p = lane.wbStream.data();
+        const std::uint8_t *const pad =
+            p + (lane.wbStream.size() - kVarintPad);
+        for (std::uint64_t i = 0; i < lane.count; ++i) {
+            const std::uint8_t nib =
+                (lane.events[i >> 1] >> ((i & 1) * 4)) & 0xF;
+            const std::uint8_t wbCount = nib >> 2;
+            if ((nib & 3) == 3 || wbCount > PrivateEvent{}.wb.size())
+                fail(i, "invalid outcome nibble");
+            for (std::uint8_t w = 0; w < wbCount; ++w) {
+                // One LEB128 varint of at most 10 bytes, ending
+                // before the padding.
+                unsigned bytes = 0;
+                do {
+                    if (p == pad || ++bytes > 10)
+                        fail(i, "malformed writeback stream");
+                } while (*p++ & 0x80);
+            }
+        }
+        if (p != pad || std::any_of(pad, pad + kVarintPad,
+                                    [](std::uint8_t b) { return b != 0; }))
+            fail(lane.count, "writeback stream does not end in exactly "
+                             "its padding");
+    };
+
     WireReader r(payload);
     const std::uint32_t numLanes = r.getU32();
     std::shared_ptr<PrivateTrace> trace(new PrivateTrace());
@@ -164,6 +204,7 @@ PrivateTrace::deserialize(const std::string &payload)
         if (lane.events.size() * 2 < lane.count)
             throw std::runtime_error(
                 "PrivateTrace payload: event column too short");
+        checkLane(lane, t);
         lane.l1i = getPortrait(r);
         lane.l1d = getPortrait(r);
         lane.l2 = getPortrait(r);

@@ -1,98 +1,43 @@
 /**
  * @file
- * Vectorized batch-replay kernel with set-sharded LLC classification.
+ * Vectorized batch-replay kernel.
  *
- * A single-source replay run fixes the global LLC operation order
- * upfront: the trace dictates every demand read and every recorded
- * L2 victim, and nothing the LLC decides feeds back into which
- * operation comes next. That splits the simulation into
+ * A single-source replay run with a private-level recording needs no
+ * scheduler: there is one core, and the recording already fixes every
+ * private-level outcome. The kernel expands the packed trace and the
+ * recording into SoA blocks (no per-access virtual dispatch or varint
+ * pointer chasing) and drives the shared LLC and DRAM straight off
+ * the decoded arrays, prefetching the tag sets of demand addresses
+ * and recorded L2 victims ahead of their walks.
  *
- *  1. a decode pass expanding the packed trace + private recording
- *     into SoA blocks (no per-access virtual dispatch or varint
- *     pointer chasing in the simulation loops),
- *  2. a classification pass running every operation's tag walk and
- *     fault draws — per-set state only — over K disjoint set shards,
- *     each on its own SharedLlc instance and thread, with the
- *     known-future addresses prefetched ahead of the walk, and
- *  3. a timing pass on the driving thread applying the precomputed
- *     decisions in global access order: core issue/stall arithmetic,
- *     bank reservations, DRAM queueing, energies and histograms.
+ * Per access it issues exactly what System::replayStep does — the
+ * recorded L2 victims as writebacks, then (on a private miss) the
+ * demand read — with the same cycle arithmetic in the same order, so
+ * its SimStats are bit-identical to the min-local-time scheduler's.
  *
- * Determinism: per-set tag state and the counter-based per-line
- * fault draws only depend on the per-set operation subsequence,
- * which every shard processes in global order; all order-sensitive
- * accumulation (floating-point energies, Welford histograms, the
- * capacity-over-time sampler) happens in pass 3 in exactly the
- * fused demandRead/writeback order. SimStats are therefore
- * bit-identical to the per-access scheduler at any shard count.
- *
- * Multi-source runs interleave cores by local time, so shared-LLC
- * timing feeds back into the per-set operation order; they fall back
- * to the min-local-time scheduler (System::run).
+ * Multi-source runs interleave cores by local time, and runs without
+ * a recording must simulate the private levels; both go to the
+ * scheduler (System::run).
  */
 
 #include "sim/system.hh"
 
-#include <algorithm>
-#include <bit>
 #include <chrono>
-#include <future>
-#include <memory>
-#include <vector>
 
 #include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/trace_events.hh"
 
 namespace nvmcache {
 
 namespace {
 
-/** One LLC operation of a decoded block, in global access order. */
-struct ReplayOp
-{
-    std::uint64_t addr = 0;
-    LlcDecision d;
-    bool isRead = false;
-};
-
 /**
- * Classification lookahead: the op list is known, so each tag walk
- * prefetches the set metadata this many ops ahead, converting the
- * latency-bound host-memory walk into a throughput-bound one.
+ * Lookaheads: demand addresses far enough ahead to cover a full
+ * access's simulation cost (matches the per-access scheduler's tuned
+ * distance), recorded L2 victims a few writebacks ahead.
  */
-constexpr std::size_t kClassifyPrefetch = 16;
-
-/**
- * Serial fast-path lookaheads: demand addresses far enough ahead to
- * cover a full access's simulation cost (matches the per-access
- * scheduler's tuned distance), recorded L2 victims a few writebacks
- * ahead.
- */
-constexpr std::size_t kSerialPrefetch = 24;
+constexpr std::size_t kDemandPrefetch = 24;
 constexpr std::size_t kWbPrefetch = 6;
-
-/**
- * Resource guard on the shard count: each shard owns a full tag
- * array, fault state and worker thread, so an absurd request (say,
- * NVMCACHE_SHARDS=10000) clamps instead of exhausting memory.
- * Results are bit-identical at any clamp, so this is safe.
- */
-constexpr std::uint32_t kMaxShards = 64;
-
-/** Classify one shard's ops (in-order) on its SharedLlc instance. */
-void
-classifyOps(SharedLlc &llc, std::vector<ReplayOp> &ops,
-            const std::uint32_t *index, std::size_t count)
-{
-    for (std::size_t k = 0; k < count; ++k) {
-        if (k + kClassifyPrefetch < count)
-            llc.prefetchTag(ops[index[k + kClassifyPrefetch]].addr);
-        ReplayOp &op = ops[index[k]];
-        op.d = op.isRead ? llc.classifyRead(op.addr)
-                         : llc.classifyWriteback(op.addr);
-    }
-}
 
 } // namespace
 
@@ -105,11 +50,8 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
     MetricsRegistry &greg = MetricsRegistry::global();
 
     if (sources.size() != 1 || privateTrace == nullptr ||
-        privateTrace->threads() != sources.size() ||
-        !cfg_.batchReplay) {
-        // Multi-source interleaving feeds shared-resource timing
-        // back into the per-set operation order, so decisions cannot
-        // be precomputed; the min-local-time scheduler handles it
+        privateTrace->threads() != sources.size()) {
+        // The scheduler interleaves multiple sources by local time
         // (and reports any source/recording mismatch).
         greg.counter("sim.replay.runs.fallback").inc(1);
         if (tracingEnabled())
@@ -121,59 +63,15 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
     }
 
     const auto t0 = std::chrono::steady_clock::now();
-
-    // One "replay.run" span covers the whole kernel; the per-block
-    // classify/timing spans below (category "replay") exist only on
-    // the sharded path — they describe host-side execution structure
-    // and are the single shard-dependent trace category.
-    const TraceContext traceCtx = TraceContext::current();
-    const std::string traceBase = traceCtx.path + "/replay";
-    TraceSpan runSpan("replay.run", "engine", traceBase);
-
-    const std::uint64_t numSets = llc_->geometry().numSets();
-    std::uint32_t S = cfg_.shards ? cfg_.shards : defaultShards();
-    S = std::min(S, kMaxShards);
-    S = std::uint32_t(std::min<std::uint64_t>(S, numSets));
-    if (llc_->geometry().replacement == ReplacementPolicy::Random)
-        S = 1; // random victim picks draw from one whole-cache stream
-    const std::uint32_t setBits =
-        std::uint32_t(std::countr_zero(numSets));
-
-    // Shard s owns sets [begin(s), begin(s+1)) with begin(s) =
-    // ceil(s * numSets / S); its inverse for any S <= numSets is
-    // shardOf(set) = set * S / numSets (both are monotone and exact
-    // at the range ends).
-    auto shardBegin = [&](std::uint32_t s) {
-        return (std::uint64_t(s) * numSets + S - 1) / S;
-    };
-
-    std::vector<std::unique_ptr<SharedLlc>> shardLlcs;
-    std::vector<SharedLlc *> classifier;
-    std::unique_ptr<ThreadPool> pool;
-    if (S > 1) {
-        shardLlcs.reserve(S);
-        classifier.reserve(S);
-        for (std::uint32_t s = 0; s < S; ++s) {
-            shardLlcs.push_back(std::make_unique<SharedLlc>(
-                llc_->model(), llc_->config(), cfg_.frequency));
-            classifier.push_back(shardLlcs.back().get());
-        }
-        pool = std::make_unique<ThreadPool>(S);
-    }
+    TraceSpan runSpan("replay.run", "engine",
+                      TraceContext::current().path + "/replay");
 
     PrivateCore &core = cores_[0];
     PrivateCursor pcur = privateTrace->cursor(0);
     ReplaySource *src = sources[0];
-    const bool faults = llc_->faultsEnabled();
-    std::uint64_t liveLines = llc_->geometry().numLines();
 
     TraceBlock tb;
     PrivateBlock pb;
-    std::vector<ReplayOp> ops(3 * TraceBlock::kCapacity);
-    std::vector<std::vector<std::uint32_t>> shardOps(S);
-    for (auto &v : shardOps)
-        v.reserve(ops.size());
-
     std::uint64_t totalAccesses = 0;
     std::uint64_t blocks = 0;
 
@@ -183,123 +81,16 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
         totalAccesses += n;
         pcur.fillBlock(n, pb);
 
-        if (S == 1) {
-            // Serial fast path: no decision staging — each access
-            // runs the fused tick+classify+finish entry points
-            // directly off the decoded SoA block. The block gives
-            // the same future-address lookahead the sharded path
-            // prefetches from, without materializing an op list.
-            std::uint32_t w1 = 0;
-            for (std::uint32_t i = 0; i < n; ++i) {
-                if (i + kSerialPrefetch < n)
-                    llc_->prefetchTag(
-                        tb.addr[i + kSerialPrefetch]);
-                // The recorded L2-victim stream is known too; pull
-                // its tag sets ahead of the writeback walks (the
-                // per-access scheduler can't — it learns victims
-                // one access at a time).
-                if (w1 + kWbPrefetch < pb.wbTotal)
-                    llc_->prefetchTag(pb.wbAddr[w1 + kWbPrefetch]);
-                core.advanceIssue(tb.gap[i]);
-                const std::uint8_t outcome = pb.outcome[i];
-                const std::uint8_t nwb = pb.wbCount[i];
-                if (outcome == PrivateEvent::kL1Hit && nwb == 0)
-                    continue;
-                const std::uint64_t now =
-                    std::uint64_t(core.cycle());
-                if (outcome != PrivateEvent::kL1Hit)
-                    ++l1Misses_;
-
-                for (std::uint8_t j = 0; j < nwb; ++j) {
-                    const std::uint64_t addr = pb.wbAddr[w1++];
-                    const LlcWritebackOutcome wbo =
-                        llc_->writeback(addr, now);
-                    if (wbo.stallCycles)
-                        core.applyRawStall(wbo.stallCycles);
-                    if (wbo.forwardedToDram)
-                        dram_->write(addr, now);
-                    if (wbo.victimDirty)
-                        dram_->write(wbo.victimAddr, now);
-                }
-
-                if (outcome == PrivateEvent::kL1Hit)
-                    continue;
-                if (outcome == PrivateEvent::kL2Hit) {
-                    core.applyStall(AccessKind(tb.kind[i]),
-                                    cfg_.core.l2Cycles);
-                    continue;
-                }
-
-                ++l2Misses_;
-                std::uint64_t latency = cfg_.core.l2Cycles;
-                const LlcReadOutcome rd =
-                    llc_->demandRead(tb.addr[i], now + latency);
-                latency += rd.latencyCycles;
-                if (!rd.hit) {
-                    latency += dram_->read(tb.addr[i], now + latency);
-                    if (rd.victimDirty)
-                        dram_->write(rd.victimAddr, now + latency);
-                }
-                core.applyStall(AccessKind(tb.kind[i]), latency);
-            }
-            continue;
-        }
-
-        // Expand the block into its LLC operation list: per access,
-        // the recorded L2 victims then (on a private miss) the
-        // demand read — the exact order replayStep issues them.
-        std::uint32_t numOps = 0;
         std::uint32_t w = 0;
         for (std::uint32_t i = 0; i < n; ++i) {
-            const std::uint8_t c = pb.wbCount[i];
-            for (std::uint8_t j = 0; j < c; ++j) {
-                ops[numOps].addr = pb.wbAddr[w++];
-                ops[numOps].isRead = false;
-                ++numOps;
-            }
-            if (pb.outcome[i] == PrivateEvent::kMiss) {
-                ops[numOps].addr = tb.addr[i];
-                ops[numOps].isRead = true;
-                ++numOps;
-            }
-        }
-
-        for (auto &v : shardOps)
-            v.clear();
-        for (std::uint32_t k = 0; k < numOps; ++k)
-            shardOps[std::size_t(
-                         (llc_->setIndexOf(ops[k].addr) * S) >>
-                         setBits)]
-                .push_back(k);
-        const std::string blockId =
-            tracingEnabled()
-                ? traceBase + "/b" + std::to_string(blocks - 1)
-                : std::string();
-        {
-            TraceSpan classifySpan("replay.classify", "replay",
-                                   blockId);
-            std::vector<std::future<void>> done;
-            done.reserve(S);
-            for (std::uint32_t s = 0; s < S; ++s)
-                done.push_back(pool->submit([&, s]() {
-                    TraceScope scope(TraceContext{
-                        blockId + "/s" + std::to_string(s),
-                        traceCtx.traceId});
-                    TraceSpan span("replay.classify.shard", "replay",
-                                   TraceContext::current().path);
-                    classifyOps(*classifier[s], ops,
-                                shardOps[s].data(),
-                                shardOps[s].size());
-                }));
-            for (std::future<void> &f : done)
-                f.get();
-        }
-
-        // Timing pass, in global access order: replayStep's exact
-        // arithmetic with the classification verdicts precomputed.
-        TraceSpan timingSpan("replay.timing", "replay", blockId);
-        std::uint32_t opIdx = 0;
-        for (std::uint32_t i = 0; i < n; ++i) {
+            if (i + kDemandPrefetch < n)
+                llc_->prefetchTag(tb.addr[i + kDemandPrefetch]);
+            // The recorded L2-victim stream is known too; pull its
+            // tag sets ahead of the writeback walks (the per-access
+            // scheduler can't — it learns victims one access at a
+            // time).
+            if (w + kWbPrefetch < pb.wbTotal)
+                llc_->prefetchTag(pb.wbAddr[w + kWbPrefetch]);
             core.advanceIssue(tb.gap[i]);
             const std::uint8_t outcome = pb.outcome[i];
             const std::uint8_t nwb = pb.wbCount[i];
@@ -310,17 +101,13 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
                 ++l1Misses_;
 
             for (std::uint8_t j = 0; j < nwb; ++j) {
-                const ReplayOp &op = ops[opIdx++];
-                if (faults) {
-                    llc_->tickFaults(liveLines);
-                    liveLines -= op.d.retirements;
-                }
+                const std::uint64_t addr = pb.wbAddr[w++];
                 const LlcWritebackOutcome wbo =
-                    llc_->finishWriteback(op.d, op.addr, now);
+                    llc_->writeback(addr, now);
                 if (wbo.stallCycles)
                     core.applyRawStall(wbo.stallCycles);
                 if (wbo.forwardedToDram)
-                    dram_->write(op.addr, now);
+                    dram_->write(addr, now);
                 if (wbo.victimDirty)
                     dram_->write(wbo.victimAddr, now);
             }
@@ -334,32 +121,19 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
             }
 
             ++l2Misses_;
-            const ReplayOp &op = ops[opIdx++];
-            if (faults) {
-                llc_->tickFaults(liveLines);
-                liveLines -= op.d.retirements;
-            }
             std::uint64_t latency = cfg_.core.l2Cycles;
             const LlcReadOutcome rd =
-                llc_->finishRead(op.d, op.addr, now + latency);
+                llc_->demandRead(tb.addr[i], now + latency);
             latency += rd.latencyCycles;
             if (!rd.hit) {
-                latency += dram_->read(op.addr, now + latency);
+                latency += dram_->read(tb.addr[i], now + latency);
                 if (rd.victimDirty)
                     dram_->write(rd.victimAddr, now + latency);
             }
             core.applyStall(AccessKind(tb.kind[i]), latency);
         }
     }
-
-    if (S > 1) {
-        for (std::uint32_t s = 0; s < S; ++s)
-            llc_->absorbShard(*shardLlcs[s], shardBegin(s),
-                              shardBegin(s + 1));
-        greg.counter("sim.replay.runs.sharded").inc(1);
-    } else {
-        greg.counter("sim.replay.runs.serial").inc(1);
-    }
+    greg.counter("sim.replay.runs.serial").inc(1);
 
     const double seconds =
         std::chrono::duration<double>(

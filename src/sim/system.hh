@@ -33,23 +33,6 @@ struct SystemConfig
     DramConfig dram;
 
     /**
-     * LLC set shards of a batch replay run (runReplay): 0 resolves
-     * to defaultShards() (NVMCACHE_SHARDS, else 1). Results are
-     * bit-identical at any value; >1 classifies the LLC's disjoint
-     * set ranges on that many threads. Capped at the tag array's
-     * set count.
-     */
-    std::uint32_t shards = 0;
-
-    /**
-     * Drive single-source replay runs through the batch-decode
-     * kernel (runReplay's fast path). Off forces the per-access
-     * min-local-time scheduler everywhere — same results, slower;
-     * kept as the measured baseline for benches and oracle tests.
-     */
-    bool batchReplay = true;
-
-    /**
      * Export per-core LLC demand/writeback counters into the run's
      * stats detail under "sim.tenant<i>." (multi-tenant workloads:
      * core i runs tenant i's thread). Off by default so existing
@@ -151,19 +134,15 @@ class System
                  const PrivateTrace *privateTrace);
 
     /**
-     * Replay run through the vectorized batch kernel (sim/replay.cc):
-     * decode SoA blocks, classify every LLC operation over
-     * cfg.shards disjoint set ranges (own tag array and fault state
-     * per shard, simulated concurrently when shards > 1), then apply
-     * timing in global access order from the precomputed decisions.
-     * Bit-identical SimStats to run(sources, privateTrace) at every
-     * shard count.
-     *
-     * The kernel requires a single source with a private-level
-     * recording (the tech-sweep hot path); multi-source runs, runs
-     * without @p privateTrace, and cfg.batchReplay == false fall
-     * back to the per-access scheduler, with the fallback counted in
-     * the global "sim.replay.runs.fallback" metric.
+     * Replay run that picks its engine from the input's shape. A
+     * single source with a private-level recording (the tech-sweep
+     * hot path) runs through the vectorized batch kernel
+     * (sim/replay.cc): decode SoA blocks, then drive the LLC and
+     * DRAM straight off them on this thread. Everything else —
+     * multi-source runs and runs without @p privateTrace — goes to
+     * the per-access scheduler, run(sources, privateTrace), counted
+     * in the global "sim.replay.runs.fallback" metric. Both engines
+     * produce bit-identical SimStats.
      */
     SimStats runReplay(const std::vector<ReplaySource *> &sources,
                        const PrivateTrace *privateTrace);

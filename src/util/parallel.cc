@@ -23,20 +23,6 @@ defaultJobs()
     return hw ? hw : 1;
 }
 
-unsigned
-defaultShards()
-{
-    if (const char *env = std::getenv("NVMCACHE_SHARDS")) {
-        char *end = nullptr;
-        const long n = std::strtol(env, &end, 10);
-        if (end != env && *end == '\0' && n >= 1)
-            return unsigned(n);
-        warn("NVMCACHE_SHARDS='", env,
-             "' is not a positive integer; ignoring");
-    }
-    return 1;
-}
-
 std::string
 describeException(std::exception_ptr e)
 {

@@ -42,15 +42,6 @@ namespace nvmcache {
  */
 unsigned defaultJobs();
 
-/**
- * LLC set shards to use when a replay run does not specify a count:
- * NVMCACHE_SHARDS if set to a positive integer, otherwise 1. The
- * conservative fallback (unlike defaultJobs()) keeps intra-run
- * threading opt-in: shards multiply the experiment layer's cross-run
- * jobs fan-out, so turning both on by default would oversubscribe.
- */
-unsigned defaultShards();
-
 /** what() of @p e, or a placeholder for non-std exceptions. */
 std::string describeException(std::exception_ptr e);
 

@@ -8,7 +8,7 @@
  *
  *  - TraceSpan:     RAII wall-clock span ("X" complete event) around
  *                   a phase — study dispatch, a memoized simulation,
- *                   a parallelMap job, a replay block.
+ *                   a parallelMap job, a replay run.
  *  - traceInstant:  a point event ("i"), e.g. a memo hit.
  *  - traceSimCounter: a counter sample ("C") on the *simulated-time*
  *                   axis — LLC misses/writebacks/scrubs/retirements
@@ -19,9 +19,7 @@
  * "run/lbm/STT-1/c8/t1") assigned by the emitter, never by timing.
  * The exporter sorts events by content, so the trace's *semantic*
  * content is byte-identical (modulo wall-clock ts/dur/tid fields) at
- * any --jobs count; events in category "replay" additionally describe
- * the host-side shard fan-out and are the only category whose content
- * varies with --shards. Wall-clock events live under pid 1,
+ * any --jobs count. Wall-clock events live under pid 1,
  * simulated-time counter tracks under pid 2.
  *
  * Threading model: every thread appends to its own lock-free chunked
@@ -84,7 +82,7 @@ struct TraceEvent
     std::int64_t dur = 0; ///< spans only, µs
     double value = 0.0;   ///< counters only
     std::string name;     ///< event name ("study.run", "llc.misses")
-    std::string cat;      ///< category ("study","engine","replay","sim","service")
+    std::string cat;      ///< category ("study","engine","sim","service")
     std::string id;       ///< deterministic hierarchical id
 };
 

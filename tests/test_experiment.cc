@@ -133,7 +133,8 @@ TEST(CoreSweep, PointsAndBaselines)
     // Shrink the workload via a local suite copy: use runner directly
     // over the study API with small core counts.
     CoreSweepStudy study = runCoreSweep(
-        {"ft"}, {"SRAM", "Hayakawa"}, {1, 2, 4}, runner);
+        CoreSweepConfig{{"ft"}, {"SRAM", "Hayakawa"}, {1, 2, 4}},
+        runner);
     EXPECT_EQ(study.points.size(), 6u);
     const CoreSweepPoint &p1 = study.at("ft", "SRAM", 1);
     EXPECT_DOUBLE_EQ(p1.speedupVsBaseline, 1.0);
@@ -145,18 +146,20 @@ TEST(CoreSweep, PointsAndBaselines)
 TEST(CoreSweep, SingleThreadedWorkloadsSkipMulticore)
 {
     ExperimentRunner runner;
-    CoreSweepStudy study =
-        runCoreSweep({"exchange2"}, {"SRAM"}, {1, 2}, runner);
+    CoreSweepStudy study = runCoreSweep(
+        CoreSweepConfig{{"exchange2"}, {"SRAM"}, {1, 2}}, runner);
     EXPECT_EQ(study.points.size(), 1u); // only 1-core point
 }
 
 TEST(CorrelationStudy, AiStudyShapes)
 {
     ExperimentRunner runner;
-    CorrelationStudy study = runCorrelationStudy(
-        true, {"Jan", "Xue", "Hayakawa"},
-        {CapacityMode::FixedCapacity, CapacityMode::FixedArea},
-        runner, 0.1);
+    CorrelationConfig cfg;
+    cfg.aiOnly = true;
+    cfg.techs = {"Jan", "Xue", "Hayakawa"};
+    cfg.modes = {CapacityMode::FixedCapacity, CapacityMode::FixedArea};
+    cfg.traceScale = 0.1;
+    CorrelationStudy study = runCorrelationStudy(cfg, runner);
     EXPECT_EQ(study.workloads.size(), 3u);
     EXPECT_EQ(study.features.size(), 3u);
     // 3 techs x 2 modes.
@@ -174,8 +177,12 @@ TEST(CorrelationStudy, AiStudyShapes)
 TEST(CorrelationStudy, FeaturesMatchDirectCharacterization)
 {
     ExperimentRunner runner;
-    CorrelationStudy study = runCorrelationStudy(
-        true, {"Jan"}, {CapacityMode::FixedCapacity}, runner, 0.1);
+    CorrelationConfig cfg;
+    cfg.aiOnly = true;
+    cfg.techs = {"Jan"};
+    cfg.modes = {CapacityMode::FixedCapacity};
+    cfg.traceScale = 0.1;
+    CorrelationStudy study = runCorrelationStudy(cfg, runner);
     // deepsjeng's feature row must match characterizing it directly
     // at the same scale.
     BenchmarkSpec deepsjeng = benchmark("deepsjeng");

@@ -561,15 +561,16 @@ TEST(MetricsDeterminism, FigureStudyDetailAgreesAcrossJobCounts)
     // and a parallel study. Wall-clock phase.*/runner.* timings live
     // in the global registry, not in the per-run details, so they
     // cannot contaminate this comparison.
+    const FigureConfig cfg{CapacityMode::FixedCapacity, 0.01};
     ExperimentRunner serial;
     serial.setJobs(1);
-    const StatsSnapshot a = aggregateSimStats(
-        runFigureStudy(CapacityMode::FixedCapacity, serial, 0.01));
+    const StatsSnapshot a =
+        aggregateSimStats(runFigureStudy(cfg, serial));
 
     ExperimentRunner parallel;
     parallel.setJobs(parallelJobs());
-    const StatsSnapshot b = aggregateSimStats(
-        runFigureStudy(CapacityMode::FixedCapacity, parallel, 0.01));
+    const StatsSnapshot b =
+        aggregateSimStats(runFigureStudy(cfg, parallel));
 
     ASSERT_FALSE(a.empty());
     ASSERT_EQ(a.entries.size(), b.entries.size());

@@ -298,7 +298,8 @@ TEST(RunnerMemo, FigureStudyBaselinePerWorkloadIsOne)
 {
     ExperimentRunner runner;
     runner.setJobs(parallelJobs());
-    runFigureStudy(CapacityMode::FixedCapacity, runner, 0.01);
+    runFigureStudy(FigureConfig{CapacityMode::FixedCapacity, 0.01},
+                   runner);
     RunnerStats stats = runner.runnerStats();
     // Exactly one SRAM baseline per workload, despite ten NVM rows
     // normalizing against it and the assembly pass re-reading it.
@@ -333,13 +334,12 @@ TEST(ParallelDeterminism, FigureStudyBitIdenticalAcrossJobCounts)
 {
     ExperimentRunner serial;
     serial.setJobs(1);
-    FigureStudy s1 =
-        runFigureStudy(CapacityMode::FixedCapacity, serial, 0.01);
+    const FigureConfig cfg{CapacityMode::FixedCapacity, 0.01};
+    FigureStudy s1 = runFigureStudy(cfg, serial);
 
     ExperimentRunner parallel;
     parallel.setJobs(parallelJobs());
-    FigureStudy sN =
-        runFigureStudy(CapacityMode::FixedCapacity, parallel, 0.01);
+    FigureStudy sN = runFigureStudy(cfg, parallel);
 
     expectSameSweeps(s1.singleThreaded, sN.singleThreaded);
     expectSameSweeps(s1.multiThreaded, sN.multiThreaded);
@@ -352,11 +352,9 @@ TEST(ParallelDeterminism, CoreSweepBitIdenticalAcrossJobCounts)
     ExperimentRunner parallel;
     parallel.setJobs(parallelJobs());
 
-    const std::vector<std::string> workloads{"ft"};
-    const std::vector<std::string> techs{"SRAM", "Hayakawa"};
-    const std::vector<std::uint32_t> cores{1, 2, 4};
-    CoreSweepStudy a = runCoreSweep(workloads, techs, cores, serial);
-    CoreSweepStudy b = runCoreSweep(workloads, techs, cores, parallel);
+    const CoreSweepConfig cfg{{"ft"}, {"SRAM", "Hayakawa"}, {1, 2, 4}};
+    CoreSweepStudy a = runCoreSweep(cfg, serial);
+    CoreSweepStudy b = runCoreSweep(cfg, parallel);
 
     ASSERT_EQ(a.points.size(), b.points.size());
     for (std::size_t i = 0; i < a.points.size(); ++i) {
@@ -377,12 +375,13 @@ TEST(ParallelDeterminism, CorrelationStudyBitIdenticalAcrossJobCounts)
     ExperimentRunner parallel;
     parallel.setJobs(parallelJobs());
 
-    const std::vector<std::string> techs{"Jan", "Hayakawa"};
-    const std::vector<CapacityMode> modes{CapacityMode::FixedCapacity};
-    CorrelationStudy a =
-        runCorrelationStudy(true, techs, modes, serial, 0.05);
-    CorrelationStudy b =
-        runCorrelationStudy(true, techs, modes, parallel, 0.05);
+    CorrelationConfig cfg;
+    cfg.aiOnly = true;
+    cfg.techs = {"Jan", "Hayakawa"};
+    cfg.modes = {CapacityMode::FixedCapacity};
+    cfg.traceScale = 0.05;
+    CorrelationStudy a = runCorrelationStudy(cfg, serial);
+    CorrelationStudy b = runCorrelationStudy(cfg, parallel);
 
     ASSERT_EQ(a.perTech.size(), b.perTech.size());
     EXPECT_EQ(a.workloads, b.workloads);

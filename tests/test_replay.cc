@@ -1,10 +1,11 @@
 /**
  * @file
- * Tests of the vectorized batch-replay kernel and set-sharded LLC
- * classification (sim/replay.cc): bit-identity against the per-access
- * scheduler at every shard count, with and without fault injection,
- * across write-timing policies, through the experiment engine's
- * (shards x jobs) matrix, and the multi-source fallback.
+ * Tests of the vectorized batch-replay kernel (sim/replay.cc):
+ * bit-identity against the per-access scheduler with and without
+ * fault injection, across write-timing policies and workload
+ * families, and the multi-source fallback. The ShardedReplay suite
+ * name predates the removal of set-sharded replay; it is kept so
+ * those tests keep their names.
  */
 
 #include <gtest/gtest.h>
@@ -12,11 +13,12 @@
 #include <memory>
 #include <vector>
 
-#include "core/study.hh"
 #include "nvsim/published.hh"
+#include "sim/system.hh"
 #include "util/metrics.hh"
 #include "workload/recorded_trace.hh"
 #include "workload/suite.hh"
+#include "workload/workload_registry.hh"
 
 using namespace nvmcache;
 
@@ -69,13 +71,10 @@ struct Recording
 };
 
 Recording
-makeRecording(const BenchmarkSpec &spec, const SystemConfig &base,
-              std::uint32_t threads = 0)
+makeRecording(const BenchmarkSpec &spec, const SystemConfig &base)
 {
     Recording r;
-    if (threads == 0)
-        threads = spec.defaultThreads;
-    r.trace = RecordedTrace::record(spec.gen, threads);
+    r.trace = RecordedTrace::record(spec.gen, spec.defaultThreads);
     auto cursors = r.trace->cursors();
     std::vector<BatchSource *> srcs;
     for (TraceCursor &c : cursors)
@@ -84,24 +83,34 @@ makeRecording(const BenchmarkSpec &spec, const SystemConfig &base,
     return r;
 }
 
-/**
- * One replay run through System::runReplay with the given knobs.
- * batch == false forces the per-access scheduler (the oracle).
- */
+/** One replay run through System::runReplay (the engine it picks). */
 SimStats
-runReplay(const Recording &rec, const SystemConfig &base,
-          const LlcModel &llc, std::uint32_t shards, bool batch)
+viaRunReplay(const Recording &rec, const SystemConfig &base,
+             const LlcModel &llc)
 {
     SystemConfig cfg = base;
     cfg.numCores = rec.trace->threads();
-    cfg.shards = shards;
-    cfg.batchReplay = batch;
     System system(cfg, llc);
     auto cursors = rec.trace->cursors();
     std::vector<ReplaySource *> ptrs;
     for (TraceCursor &c : cursors)
         ptrs.push_back(&c);
     return system.runReplay(ptrs, rec.priv.get());
+}
+
+/** The same run through the per-access scheduler (the oracle). */
+SimStats
+viaScheduler(const Recording &rec, const SystemConfig &base,
+             const LlcModel &llc)
+{
+    SystemConfig cfg = base;
+    cfg.numCores = rec.trace->threads();
+    System system(cfg, llc);
+    auto cursors = rec.trace->cursors();
+    std::vector<BatchSource *> ptrs;
+    for (TraceCursor &c : cursors)
+        ptrs.push_back(&c);
+    return system.run(ptrs, rec.priv.get());
 }
 
 double
@@ -117,114 +126,86 @@ detailScalar(const SimStats &s, const std::string &path)
     return it == s.detail.entries.end() ? -1.0 : it->second.scalar;
 }
 
+/**
+ * Record @p spec under @p base and expect the batch kernel
+ * (System::runReplay, which must pick it) to reproduce the
+ * per-access scheduler (System::run on the same recording) in every
+ * SimStats field, including the full detail tree, bit for bit.
+ * Returns the scheduler's stats for case-specific checks.
+ */
+SimStats
+expectKernelMatchesScheduler(const BenchmarkSpec &spec,
+                             const SystemConfig &base,
+                             const std::string &tech)
+{
+    const Recording rec = makeRecording(spec, base);
+    EXPECT_EQ(rec.trace->threads(), 1u); // the kernel's input
+    const LlcModel &llc =
+        publishedLlcModel(tech, CapacityMode::FixedCapacity);
+
+    const SimStats scheduler = viaScheduler(rec, base, llc);
+    const double kernelRuns = globalCounter("sim.replay.runs.serial");
+    const SimStats kernel = viaRunReplay(rec, base, llc);
+    EXPECT_EQ(globalCounter("sim.replay.runs.serial"), kernelRuns + 1.0);
+    expectSimStatsIdentical(scheduler, kernel);
+    return scheduler;
+}
+
 } // namespace
 
 TEST(ShardedReplay, KernelMatchesLegacyScheduler)
 {
     // The batch kernel against the per-access min-local-time
-    // scheduler on the same recording: every SimStats field,
-    // including the full detail tree, bit for bit.
-    const BenchmarkSpec spec = trimmed("tonto", 120'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats legacy = runReplay(rec, base, jan, 1, false);
-    const SimStats kernel = runReplay(rec, base, jan, 1, true);
-    expectSimStatsIdentical(legacy, kernel);
-}
-
-TEST(ShardedReplay, BitIdenticalAcrossShardCounts)
-{
-    // Shard counts that divide the set count evenly, unevenly (7),
-    // and degenerately (1) must all merge back to the serial state.
-    const BenchmarkSpec spec = trimmed("tonto", 120'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats serial = runReplay(rec, base, jan, 1, true);
-    for (std::uint32_t shards : {2u, 4u, 7u}) {
-        const SimStats sharded =
-            runReplay(rec, base, jan, shards, true);
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectSimStatsIdentical(serial, sharded);
-    }
+    // scheduler on a SPEC workload.
+    expectKernelMatchesScheduler(trimmed("tonto", 120'000),
+                                 SystemConfig{}, "Jan");
 }
 
 TEST(ShardedReplay, FaultSweepBitIdentical)
 {
     // With the fault layer injecting aggressively (retries, scrubs,
-    // wear retirements), the per-line draw and wear state the shards
-    // classify must absorb back losslessly: every llc.faults.*
-    // counter and distribution rides in the detail tree.
-    const BenchmarkSpec spec = trimmed("lbm", 120'000);
+    // wear retirements), every llc.faults.* counter and distribution
+    // rides in the detail tree and must match.
     SystemConfig base;
     base.llc.faults.enabled = true;
     base.llc.faults.berScale = 64.0;
     base.llc.faults.wearScale = 1e6;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats legacy = runReplay(rec, base, jan, 1, false);
-    ASSERT_GT(detailScalar(legacy, "sim.llc.faults.writeRetries"),
+    const SimStats scheduler = expectKernelMatchesScheduler(
+        trimmed("lbm", 120'000), base, "Jan");
+    EXPECT_GT(detailScalar(scheduler, "sim.llc.faults.writeRetries"),
               0.0); // the config actually injects
-    for (std::uint32_t shards : {1u, 4u, 7u}) {
-        const SimStats sharded =
-            runReplay(rec, base, jan, shards, true);
-        SCOPED_TRACE("shards=" + std::to_string(shards));
-        expectSimStatsIdentical(legacy, sharded);
-    }
 }
 
 TEST(ShardedReplay, WritePoliciesAndBypassBitIdentical)
 {
     // The non-default write-timing policies exercise accountWrite's
     // order-sensitive bank state, and bypassWritebackMiss exercises
-    // the probe-miss forwarding path; all of it lives in the timing
-    // pass, so sharded classification must not perturb any of it.
+    // the probe-miss forwarding path.
+    SystemConfig bank;
+    bank.llc.writePolicy = WritePolicy::BankContention;
+    SystemConfig blocking;
+    blocking.llc.writePolicy = WritePolicy::Blocking;
+    SystemConfig bypass;
+    bypass.llc.bypassWritebackMiss = true;
+
     const BenchmarkSpec spec = trimmed("lbm", 80'000);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    SystemConfig variants[3];
-    variants[0].llc.writePolicy = WritePolicy::BankContention;
-    variants[1].llc.writePolicy = WritePolicy::Blocking;
-    variants[2].llc.bypassWritebackMiss = true;
-
-    for (const SystemConfig &base : variants) {
-        const Recording rec = makeRecording(spec, base);
-        const SimStats legacy = runReplay(rec, base, jan, 1, false);
-        const SimStats sharded = runReplay(rec, base, jan, 4, true);
-        expectSimStatsIdentical(legacy, sharded);
-    }
+    for (const SystemConfig &base : {bank, blocking, bypass})
+        expectKernelMatchesScheduler(spec, base, "Jan");
 }
 
-TEST(ShardedReplay, OvershardingClampsToSetCountAndMatches)
+TEST(ReplayKernel, MatchesSchedulerBitForBit)
 {
-    // More shards than the run needs (and than makes sense) must
-    // clamp rather than misroute: a huge shard count still merges to
-    // the serial state.
-    const BenchmarkSpec spec = trimmed("tonto", 60'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    const LlcModel &jan =
-        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats serial = runReplay(rec, base, jan, 1, true);
-    const SimStats sharded =
-        runReplay(rec, base, jan, 1u << 30, true);
-    expectSimStatsIdentical(serial, sharded);
+    // A server-family workload on an SRAM LLC through both engines.
+    expectKernelMatchesScheduler(
+        WorkloadRegistry::global().resolve("kv:keys=1K,ops=30K"),
+        SystemConfig{}, "SRAM");
 }
 
-TEST(ShardedReplay, MultiThreadTraceFallsBack)
+TEST(ReplayKernel, MultiThreadTraceFallsBack)
 {
     // A multi-source replay interleaves cores by local time, which
-    // the kernel cannot precompute; runReplay must route it through
-    // the legacy scheduler (counting the fallback) with identical
+    // the single-core kernel does not model; runReplay must route it
+    // through the scheduler (counting the fallback) with identical
     // results.
     const BenchmarkSpec spec = trimmed("vips", 120'000);
     const SystemConfig base;
@@ -233,97 +214,11 @@ TEST(ShardedReplay, MultiThreadTraceFallsBack)
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
 
-    SystemConfig cfg = base;
-    cfg.numCores = rec.trace->threads();
-    System direct(cfg, jan);
-    auto directCursors = rec.trace->cursors();
-    std::vector<BatchSource *> batch;
-    for (TraceCursor &c : directCursors)
-        batch.push_back(&c);
-    const SimStats viaRun = direct.run(batch, rec.priv.get());
-
+    const SimStats viaRun = viaScheduler(rec, base, jan);
     const double fallbackBefore =
         globalCounter("sim.replay.runs.fallback");
-    const SimStats viaReplay = runReplay(rec, base, jan, 4, true);
+    const SimStats viaReplay = viaRunReplay(rec, base, jan);
     EXPECT_EQ(globalCounter("sim.replay.runs.fallback"),
               fallbackBefore + 1.0);
     expectSimStatsIdentical(viaRun, viaReplay);
-}
-
-TEST(ShardedReplay, RunnerMatrixShardsJobsBitIdentical)
-{
-    // The full experiment engine: a tech sweep per (shards, jobs)
-    // combination, every result compared against the serial
-    // reference. jobs threads run whole simulations concurrently;
-    // shards thread inside each simulation; neither may leak into
-    // results.
-    const BenchmarkSpec spec = trimmed("tonto", 60'000);
-
-    ExperimentRunner reference;
-    reference.setJobs(1);
-    reference.setShards(1);
-    const TechSweep want =
-        reference.sweepTechs(spec, CapacityMode::FixedCapacity);
-
-    for (unsigned jobs : {1u, 8u}) {
-        for (unsigned shards : {1u, 2u, 4u, 7u}) {
-            ExperimentRunner runner;
-            runner.setJobs(jobs);
-            runner.setShards(shards);
-            const TechSweep got =
-                runner.sweepTechs(spec, CapacityMode::FixedCapacity);
-            SCOPED_TRACE("jobs=" + std::to_string(jobs) +
-                         " shards=" + std::to_string(shards));
-            ASSERT_EQ(want.results.size(), got.results.size());
-            for (std::size_t i = 0; i < want.results.size(); ++i) {
-                EXPECT_EQ(want.results[i].tech, got.results[i].tech);
-                EXPECT_EQ(want.results[i].speedup,
-                          got.results[i].speedup);
-                EXPECT_EQ(want.results[i].normEnergy,
-                          got.results[i].normEnergy);
-                EXPECT_EQ(want.results[i].normEd2p,
-                          got.results[i].normEd2p);
-                expectSimStatsIdentical(want.results[i].stats,
-                                        got.results[i].stats);
-            }
-        }
-    }
-}
-
-TEST(ShardedReplay, ReliabilityStudyShardsInvariant)
-{
-    // The reliability grid drives fault-heavy sweeps through the
-    // study layer; its report must not depend on the shards knob.
-    ReliabilityConfig serialCfg;
-    serialCfg.workload = "lbm";
-    serialCfg.traceScale = 0.02;
-    serialCfg.berScales = {64.0};
-    serialCfg.wearLevelingFactors = {0.5};
-    serialCfg.wearScale = 1e6;
-    serialCfg.jobs = 1;
-    serialCfg.shards = 1;
-    ReliabilityConfig shardedCfg = serialCfg;
-    shardedCfg.jobs = 8;
-    shardedCfg.shards = 7;
-
-    const ReliabilityStudy a = runReliabilityStudy(serialCfg);
-    const ReliabilityStudy b = runReliabilityStudy(shardedCfg);
-
-    ASSERT_EQ(a.points.size(), b.points.size());
-    bool sawFaults = false;
-    for (std::size_t i = 0; i < a.points.size(); ++i) {
-        const ReliabilityPoint &pa = a.points[i];
-        const ReliabilityPoint &pb = b.points[i];
-        EXPECT_EQ(pa.tech, pb.tech);
-        EXPECT_EQ(pa.writeRetries, pb.writeRetries);
-        EXPECT_EQ(pa.writeScrubs, pb.writeScrubs);
-        EXPECT_EQ(pa.readScrubs, pb.readScrubs);
-        EXPECT_EQ(pa.uncorrectable, pb.uncorrectable);
-        EXPECT_EQ(pa.retiredLines, pb.retiredLines);
-        EXPECT_EQ(pa.speedup, pb.speedup);
-        EXPECT_TRUE(pa.stats.detail == pb.stats.detail) << pa.tech;
-        sawFaults = sawFaults || pa.writeRetries > 0;
-    }
-    EXPECT_TRUE(sawFaults);
-    EXPECT_TRUE(aggregateSimStats(a) == aggregateSimStats(b));
 }

@@ -217,6 +217,19 @@ TEST(Registry, UnknownParameterListsValidKeys)
         EXPECT_NE(msg.find("workload"), std::string::npos);
         EXPECT_NE(msg.find("compare"), std::string::npos);
     }
+
+    // Full dispatch applies the same check: a "shards" execution
+    // knob, which no study accepts, is refused rather than dropped.
+    StudyRequest req = compareRequest("0.01");
+    req.params["shards"] = "2";
+    try {
+        runStudyRequest(req);
+        FAIL() << "expected error";
+    } catch (const std::runtime_error &e) {
+        EXPECT_NE(std::string(e.what()).find("shards"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Registry, BadParameterValueNamesKey)

@@ -172,6 +172,42 @@ TEST(StoreCodec, PrivateTraceRoundTrips)
     EXPECT_THROW(PrivateTrace::deserialize(
                      payload.substr(0, payload.size() - 3)),
                  std::runtime_error);
+
+    // Wire layout: u32 lanes, then per lane u64 count, u64-length-
+    // prefixed event nibbles, u64-length-prefixed writeback stream.
+    const auto u64At = [&](std::size_t off) {
+        std::uint64_t v = 0;
+        for (int i = 7; i >= 0; --i)
+            v = (v << 8) | std::uint8_t(payload[off + std::size_t(i)]);
+        return v;
+    };
+    const std::size_t eventsLenAt = 4 + 8;
+    const std::size_t eventsAt = eventsLenAt + 8;
+    const std::size_t wbLenAt =
+        eventsAt + std::size_t(u64At(eventsLenAt));
+    const std::size_t wbEnd = wbLenAt + 8 + std::size_t(u64At(wbLenAt));
+    ASSERT_GT(u64At(wbLenAt), kVarintPad); // the lane has writebacks
+    const auto expectRejected = [](const std::string &bad,
+                                   const std::string &why) {
+        try {
+            PrivateTrace::deserialize(bad);
+            ADD_FAILURE() << "accepted: " << why;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("lane 0 event "),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // Outcome 3 with wbCount 3: replay would write ev.wb[2].
+    std::string badNibble = payload;
+    badNibble[eventsAt] = char(0xFF);
+    expectRejected(badNibble, "invalid outcome nibble");
+
+    // The last writeback varint runs on into the zero padding.
+    std::string badStream = payload;
+    badStream[wbEnd - kVarintPad - 1] |= char(0x80);
+    expectRejected(badStream, "writeback varint overrunning the pad");
 }
 
 // --- record files ---------------------------------------------------

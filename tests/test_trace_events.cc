@@ -5,8 +5,7 @@
  * request-id filtering, parent-directory creation on write, and the
  * headline determinism contract — a run's trace has byte-identical
  * semantic content (modulo wall-clock ts/dur/tid) at any --jobs
- * count, and identical content outside the "replay" category at any
- * --shards count.
+ * count.
  */
 
 #include <gtest/gtest.h>
@@ -61,19 +60,6 @@ normalizedTrace(std::uint64_t traceId = 0)
         }
     }
     return doc;
-}
-
-/** Events of @p doc whose "cat" is not @p dropped. */
-JsonValue
-withoutCategory(const JsonValue &doc, const std::string &dropped)
-{
-    JsonValue out = JsonValue::makeObject();
-    JsonValue evs = JsonValue::makeArray();
-    for (const JsonValue &e : doc.members.at("traceEvents").items)
-        if (e.stringOr("cat", "") != dropped)
-            evs.push(e);
-    out.set("traceEvents", std::move(evs));
-    return out;
 }
 
 /** Count of events in @p doc with name == @p name. */
@@ -300,14 +286,16 @@ TEST(TraceDeterminism, StudyTraceIsByteIdenticalAcrossJobCounts)
         TracingOn on;
         ExperimentRunner runner;
         runner.setJobs(1);
-        runFigureStudy(CapacityMode::FixedCapacity, runner, 0.01);
+        runFigureStudy(FigureConfig{CapacityMode::FixedCapacity, 0.01},
+                       runner);
         serial = normalizedTrace().dump();
     }
     {
         TracingOn on;
         ExperimentRunner runner;
         runner.setJobs(8);
-        runFigureStudy(CapacityMode::FixedCapacity, runner, 0.01);
+        runFigureStudy(FigureConfig{CapacityMode::FixedCapacity, 0.01},
+                       runner);
         parallel = normalizedTrace().dump();
     }
     EXPECT_EQ(serial, parallel);
@@ -316,44 +304,6 @@ TEST(TraceDeterminism, StudyTraceIsByteIdenticalAcrossJobCounts)
     EXPECT_NE(serial.find("runner.simulate"), std::string::npos);
     EXPECT_NE(serial.find("parallel.job"), std::string::npos);
     EXPECT_NE(serial.find("llc.demandMisses"), std::string::npos);
-}
-
-TEST(TraceDeterminism, ShardingOnlyAddsReplayCategoryEvents)
-{
-    // Shards change host-side execution structure, not simulation
-    // content: dropping category "replay" (the per-block classify /
-    // timing spans) must make the sharded trace identical to the
-    // serial one, and the sharded run must actually have emitted
-    // those extra spans.
-    auto runOnce = [](unsigned shards) {
-        CompareConfig cfg;
-        cfg.workload = "lbm";
-        cfg.tech = "Oh";
-        cfg.traceScale = 0.05;
-        ExperimentRunner runner;
-        runner.setJobs(1);
-        runner.setShards(shards);
-        runCompare(cfg, runner);
-        return normalizedTrace();
-    };
-
-    JsonValue serial, sharded;
-    {
-        TracingOn on;
-        serial = runOnce(1);
-    }
-    {
-        TracingOn on;
-        sharded = runOnce(4);
-    }
-
-    EXPECT_GT(countNamed(sharded, "replay.classify"), 0u);
-    EXPECT_GT(countNamed(sharded, "replay.classify.shard"), 0u);
-    EXPECT_GT(countNamed(sharded, "replay.timing"), 0u);
-    EXPECT_EQ(countNamed(serial, "replay.classify"), 0u);
-
-    EXPECT_EQ(withoutCategory(serial, "replay").dump(),
-              withoutCategory(sharded, "replay").dump());
 }
 
 TEST(TraceDeterminism, MemoHitsAreCountStableAcrossJobs)

@@ -252,8 +252,8 @@ TEST(TraceStore, FigureAndCorrelationStudiesRecordEachTraceOnce)
     // exactly once.
     const double scale = 0.02;
     ExperimentRunner runner;
-    const FigureStudy fig =
-        runFigureStudy(CapacityMode::FixedCapacity, runner, scale);
+    const FigureStudy fig = runFigureStudy(
+        FigureConfig{CapacityMode::FixedCapacity, scale}, runner);
     const std::size_t workloads =
         fig.singleThreaded.size() + fig.multiThreaded.size();
     RunnerStats rs = runner.runnerStats();
@@ -261,9 +261,12 @@ TEST(TraceStore, FigureAndCorrelationStudiesRecordEachTraceOnce)
     EXPECT_EQ(rs.privateBuilds, workloads);
     EXPECT_GE(rs.traceHits, 10 * rs.traceBuilds);
 
-    (void)runCorrelationStudy(true, {"Jan"},
-                              {CapacityMode::FixedCapacity}, runner,
-                              scale);
+    CorrelationConfig corr;
+    corr.aiOnly = true;
+    corr.techs = {"Jan"};
+    corr.modes = {CapacityMode::FixedCapacity};
+    corr.traceScale = scale;
+    (void)runCorrelationStudy(corr, runner);
     rs = runner.runnerStats();
     EXPECT_EQ(rs.traceBuilds, workloads); // no re-recording
     EXPECT_EQ(rs.privateBuilds, workloads);

@@ -4,7 +4,7 @@
  * canonicalization, parameterized server families (kv / phased /
  * tenants), runKey sensitivity to every workload parameter, warm-up
  * exclusion, per-tenant statistics, and bit-identity of the new
- * families across jobs and shard counts.
+ * families across job counts.
  */
 
 #include <gtest/gtest.h>
@@ -370,23 +370,6 @@ TEST(WorkloadRegistry, ServerFamiliesBitIdenticalAcrossJobs)
                       b.results[i].normEnergy);
             expectSameStats(a.results[i].stats, b.results[i].stats);
         }
-    }
-}
-
-TEST(WorkloadRegistry, ServerFamiliesBitIdenticalAcrossShards)
-{
-    const WorkloadRegistry &reg = WorkloadRegistry::global();
-    for (const char *s : {"kv:keys=1K,ops=30K",
-                          "tenants:n=2,keys=1K,ops=30K"}) {
-        const BenchmarkSpec &spec = reg.resolve(s);
-        ExperimentRunner one;
-        one.setJobs(1);
-        one.setShards(1);
-        ExperimentRunner four;
-        four.setJobs(1);
-        four.setShards(4);
-        expectSameStats(one.runOne(spec, sram()),
-                        four.runOne(spec, sram()));
     }
 }
 

@@ -67,7 +67,7 @@ usage(std::FILE *out)
         "  estimate <cell> [capacityMB]       circuit-estimate an LLC "
         "model\n"
         "  simulate <workload> <tech> [--fixed-area] [--threads N] "
-        "[--jobs N] [--shards N]\n"
+        "[--jobs N]\n"
         "           [--scale F] [--stats-out FILE] "
         "[--stats-format json|csv] [--trace-out FILE]\n"
         "           [--progress]\n"
@@ -79,20 +79,20 @@ usage(std::FILE *out)
         "[--wear-leveling A,B,..]\n"
         "           [--wear-scale X] [--max-retries N] [--scale F] "
         "[--fixed-area]\n"
-        "           [--threads N] [--jobs N] [--shards N] "
+        "           [--threads N] [--jobs N] "
         "[--stats-out FILE] [--stats-format json|csv]\n"
         "           [--trace-out FILE] [--progress]   fault-injection "
         "sweep over all technologies\n"
         "  studies                            list registered studies "
         "with defaults\n"
-        "  study <kind> [key=value ..] [--jobs N] [--shards N] "
+        "  study <kind> [key=value ..] [--jobs N] "
         "[--stats-out FILE]\n"
         "           [--stats-format json|csv] [--trace-out FILE] "
         "[--progress]\n"
         "           run one study, print JSON\n"
         "  serve --socket PATH [--queue-depth N] [--workers N] "
         "[--exec-threads N]\n"
-        "           [--jobs N] [--shards N] [--store-dir DIR] "
+        "           [--jobs N] [--store-dir DIR] "
         "[--trace] [--trace-out FILE]\n"
         "           [--heartbeat-ms N] [--job-timeout-ms N] "
         "[--chaos-spec SPEC] [--no-resume]\n"
@@ -137,10 +137,6 @@ usage(std::FILE *out)
         "--jobs N (or NVMCACHE_JOBS=N) caps the experiment engine's "
         "worker threads;\nthe default is the hardware thread count. "
         "Results are bit-identical at any\njob count.\n"
-        "--shards N (or NVMCACHE_SHARDS=N) splits each simulated "
-        "LLC's sets over N\nthreads inside one run (default 1). "
-        "Results are bit-identical at any shard\ncount; total "
-        "threads scale with jobs x shards.\n"
         "--stats-out FILE writes the structured run report "
         "(sim.*, runner.*,\nestimator.*, phase.* metrics); "
         "--stats-format picks json (default) or csv.\n"
@@ -309,7 +305,6 @@ cmdSimulate(ArgParser &parser)
     cfg.threads = parser.u32("--threads", 0);
     cfg.traceScale = parser.num("--scale", 1.0);
     const unsigned jobs = parser.u32("--jobs", 0);
-    const unsigned shards = parser.u32("--shards", 0);
     setProgressEnabled(parser.flag("--progress"));
     const std::string statsOut = parser.str("--stats-out", "");
     const std::string statsFormat = parser.str("--stats-format", "json");
@@ -326,7 +321,6 @@ cmdSimulate(ArgParser &parser)
 
     ExperimentRunner runner;
     runner.setJobs(jobs);
-    runner.setShards(shards);
     const CompareResult r = runCompare(cfg, runner);
     const LlcModel &llc = publishedLlcModel(cfg.tech, cfg.mode);
 
@@ -417,7 +411,6 @@ cmdReliability(ArgParser &parser)
                                            : CapacityMode::FixedCapacity;
     cfg.threads = parser.u32("--threads", 0);
     cfg.jobs = parser.u32("--jobs", 0);
-    cfg.shards = parser.u32("--shards", 0);
     cfg.traceScale = parser.num("--scale", 0.25);
     cfg.berScales = parser.numList("--ber-scale", cfg.berScales);
     cfg.wearLevelingFactors =
@@ -504,7 +497,6 @@ cmdStudy(ArgParser &parser)
 {
     StudyRunOptions opts;
     opts.jobs = parser.u32("--jobs", 0);
-    opts.shards = parser.u32("--shards", 0);
     setProgressEnabled(parser.flag("--progress"));
     const std::string statsOut = parser.str("--stats-out", "");
     const std::string statsFormat = parser.str("--stats-format", "json");
@@ -536,7 +528,6 @@ cmdServe(ArgParser &parser)
     cfg.workers = parser.u32("--workers", 0);
     cfg.execThreads = parser.u32("--exec-threads", 2);
     cfg.jobs = parser.u32("--jobs", 0);
-    cfg.shards = parser.u32("--shards", 0);
     cfg.trace = parser.flag("--trace");
     cfg.traceOut = parser.str("--trace-out", "");
     cfg.heartbeatMs = parser.u32("--heartbeat-ms", 500);
