@@ -447,11 +447,10 @@ ExperimentRunner::recordedTrace(const GeneratorConfig &gen,
                                          std::memory_order_relaxed);
             memo_->gTraceBuilds.inc();
             {
-                PhaseTimer timer("runner.recordSeconds");
                 // Self-contained id: trace recording ownership races
                 // the same way runs do (see traceRunId).
-                TraceSpan span("runner.record", "engine",
-                               "trace/" + traceHashId(key));
+                Phase phase("runner.record", "engine",
+                            "trace/" + traceHashId(key));
                 trace = RecordedTrace::record(gen, threads);
             }
             if (store_) {
@@ -512,9 +511,8 @@ ExperimentRunner::privateTrace(const GeneratorConfig &gen,
             for (TraceCursor &c : cursors)
                 ptrs.push_back(&c);
             {
-                PhaseTimer timer("runner.recordPrivateSeconds");
-                TraceSpan span("runner.recordPrivate", "engine",
-                               "ptrace/" + traceHashId(key));
+                Phase phase("runner.recordPrivate", "engine",
+                            "ptrace/" + traceHashId(key));
                 priv = PrivateTrace::record(ptrs, base_.core);
             }
             if (store_) {
@@ -640,7 +638,6 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
             }
             SimStats stats;
             {
-                PhaseTimer timer("runner.simulateSeconds");
                 // The run scope REPLACES the caller's path (instead
                 // of extending it) so the simulation's spans read the
                 // same whichever racing caller won ownership.
@@ -651,7 +648,7 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
                         : std::string();
                 TraceScope scope(TraceContext{
                     runId, TraceContext::current().traceId});
-                TraceSpan span("runner.simulate", "engine", runId);
+                Phase phase("runner.simulate", "engine", runId);
                 stats = simulateUncached(spec, llc, threads);
             }
             if (store_) {

@@ -5,6 +5,7 @@
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/parallel.hh"
+#include "util/trace_events.hh"
 #include "workload/workload_registry.hh"
 
 namespace nvmcache {
@@ -25,15 +26,15 @@ struct RunJob
  * order-stable) assembly re-reads them without simulating anything:
  * results are bit-identical at any concurrency level.
  *
- * @p phase labels both the wall-clock timer ("phase.<phase>.fanout")
- * and the live progress line (one tick per completed job, including
+ * @p phase labels both the "<phase>.fanout" Phase and the live
+ * progress line (one tick per completed job, including
  * memo-served ones).
  */
 void
 prefetchRuns(const ExperimentRunner &runner,
              const std::vector<RunJob> &jobs, const std::string &phase)
 {
-    PhaseTimer timer("phase." + phase + ".fanout");
+    Phase timer(phase + ".fanout", "study", TraceContext::current().path);
     progressBegin(phase + " fan-out", jobs.size());
     parallelMap(runner.jobs(), jobs, [&](const RunJob &job) {
         runner.runOne(*job.spec, *job.llc, job.threads);
@@ -49,7 +50,7 @@ FigureStudy
 runFigureStudy(const FigureConfig &cfg, const ExperimentRunner &runner)
 {
     const CapacityMode mode = cfg.mode;
-    if (cfg.traceScale <= 0.0 || cfg.traceScale > 1.0)
+    if (!validTraceScale(cfg.traceScale))
         fatal("runFigureStudy: traceScale must be in (0, 1]");
 
     // Scale every workload first so job specs are stable in memory.
@@ -71,7 +72,8 @@ runFigureStudy(const FigureConfig &cfg, const ExperimentRunner &runner)
     // Phase 2: assemble in suite order from the memo. The serial
     // copy shares the memo but skips per-sweep pool spin-up, since
     // every run is already cached.
-    PhaseTimer assemble_timer("phase.figure.assemble");
+    Phase assemble_timer("figure.assemble", "study",
+                         TraceContext::current().path);
     ExperimentRunner assembler = runner;
     assembler.setJobs(1);
     FigureStudy study;
@@ -132,7 +134,8 @@ runCoreSweep(const CoreSweepConfig &cfg, const ExperimentRunner &runner)
     prefetchRuns(runner, jobs, "coreSweep");
 
     // Phase 2: deterministic assembly from the memo.
-    PhaseTimer assemble_timer("phase.coreSweep.assemble");
+    Phase assemble_timer("coreSweep.assemble", "study",
+                         TraceContext::current().path);
     for (const std::string &wname : workloads) {
         const BenchmarkSpec &spec = benchmark(wname);
 
@@ -184,7 +187,8 @@ runCorrelationCore(const std::vector<BenchmarkSpec> &specs,
     // still simulate (they fill the cache) but are excluded from the
     // features — they are not the workload being characterized.
     {
-        PhaseTimer timer("phase.correlation.characterize");
+        Phase timer("correlation.characterize", "study",
+                    TraceContext::current().path);
         progressBegin("correlation characterize", specs.size());
         study.features = parallelMap(
             runner.jobs(), specs, [&](const BenchmarkSpec &spec) {
@@ -213,7 +217,8 @@ runCorrelationCore(const std::vector<BenchmarkSpec> &specs,
     // Phase 2: one tech sweep per (workload, mode), shared across all
     // studied technologies, assembled from the memo (the serial copy
     // shares it).
-    PhaseTimer assemble_timer("phase.correlation.assemble");
+    Phase assemble_timer("correlation.assemble", "study",
+                         TraceContext::current().path);
     ExperimentRunner assembler = runner;
     assembler.setJobs(1);
     for (CapacityMode mode : modes) {
@@ -271,7 +276,7 @@ CorrelationStudy
 runCorrelationStudy(const CorrelationConfig &cfg,
                     const ExperimentRunner &runner)
 {
-    if (cfg.traceScale <= 0.0 || cfg.traceScale > 1.0)
+    if (!validTraceScale(cfg.traceScale))
         fatal("runCorrelationStudy: traceScale must be in (0, 1]");
 
     std::vector<BenchmarkSpec> specs;
@@ -346,7 +351,7 @@ runServerSuite(const ServerSuiteConfig &cfg,
 CompareResult
 runCompare(const CompareConfig &cfg, const ExperimentRunner &runner)
 {
-    if (cfg.traceScale <= 0.0 || cfg.traceScale > 1.0)
+    if (!validTraceScale(cfg.traceScale))
         fatal("runCompare: traceScale must be in (0, 1]");
 
     BenchmarkSpec spec = benchmark(cfg.workload);
@@ -358,11 +363,11 @@ runCompare(const CompareConfig &cfg, const ExperimentRunner &runner)
     CompareResult r;
     r.config = cfg;
     {
-        PhaseTimer timer("phase.compare.nvm");
+        Phase timer("compare.nvm", "study", TraceContext::current().path);
         r.nvm = runner.runOne(spec, llc, cfg.threads);
     }
     {
-        PhaseTimer timer("phase.compare.sram");
+        Phase timer("compare.sram", "study", TraceContext::current().path);
         r.sram = runner.runOne(spec, sram, cfg.threads);
     }
     r.speedup = r.sram.seconds / r.nvm.seconds;
@@ -398,7 +403,7 @@ detailValue(const StatsSnapshot &snap, const std::string &path)
 ReliabilityStudy
 runReliabilityStudy(const ReliabilityConfig &cfg, RunnerPool *pool)
 {
-    if (cfg.traceScale <= 0.0 || cfg.traceScale > 1.0)
+    if (!validTraceScale(cfg.traceScale))
         fatal("runReliabilityStudy: traceScale must be in (0, 1]");
     if (cfg.berScales.empty() || cfg.wearLevelingFactors.empty())
         fatal("runReliabilityStudy: empty sweep axis");
@@ -410,7 +415,7 @@ runReliabilityStudy(const ReliabilityConfig &cfg, RunnerPool *pool)
     ReliabilityStudy study;
     study.config = cfg;
 
-    PhaseTimer timer("phase.reliability");
+    Phase timer("reliability", "study", TraceContext::current().path);
     progressBegin("reliability sweep", cfg.berScales.size() *
                                            cfg.wearLevelingFactors.size());
     for (double ber : cfg.berScales) {

@@ -28,6 +28,17 @@ struct FigureStudy
 };
 
 /**
+ * Whether @p scale is a usable traceScale: in (0, 1]. Every study
+ * run enforces it, and study parameters are checked against it when
+ * parsed.
+ */
+inline bool
+validTraceScale(double scale)
+{
+    return scale > 0.0 && scale <= 1.0;
+}
+
+/**
  * Figure study configuration. traceScale is the fraction of each
  * workload's configured access count to simulate (1.0 = full length;
  * bench --quick uses 0.25). Statistics converge by ~0.25 for

@@ -2,8 +2,11 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <type_traits>
 
 #include "nvm/cell.hh"
+#include "nvsim/published.hh"
+#include "sim/faults.hh"
 #include "util/args.hh"
 #include "util/trace_events.hh"
 #include "workload/suite.hh"
@@ -47,22 +50,43 @@ joinStrs(const std::vector<std::string> &v)
     return out;
 }
 
+/** The parse diagnostic for a bad @p token of parameter @p key. */
+std::runtime_error
+badValue(const std::string &key, const std::string &token,
+         const std::string &why)
+{
+    return std::runtime_error("bad value '" + token + "' for " + key +
+                              " (" + why + ")");
+}
+
+/**
+ * Resolve @p token through the workload registry now, so a bad kind
+ * or parameter throws at parse time instead of aborting mid-study.
+ */
+void
+checkWorkload(const std::string &key, const std::string &token)
+{
+    try {
+        WorkloadRegistry::global().resolve(token);
+    } catch (const std::exception &e) {
+        throw badValue(key, token, e.what());
+    }
+}
+
 /**
  * Workload spec strings carry commas inside their parameter sections
  * ("kv:skew=1.2,keys=64M"), so lists of them are ';'-separated.
- * Every entry is resolved through the workload registry immediately:
- * a bad kind or parameter throws here, at parse time, instead of
- * aborting mid-study.
+ * Every entry is resolved (checkWorkload).
  */
 std::vector<std::string>
-parseWorkloadList(const std::string &value)
+parseWorkloadList(const std::string &key, const std::string &value)
 {
     std::vector<std::string> out;
     std::istringstream in(value);
     std::string tok;
     while (std::getline(in, tok, ';'))
         if (!tok.empty()) {
-            WorkloadRegistry::global().resolve(tok);
+            checkWorkload(key, tok);
             out.push_back(tok);
         }
     return out;
@@ -84,8 +108,7 @@ parseBoolParam(const std::string &key, const std::string &value)
         return true;
     if (value == "0" || value == "false")
         return false;
-    throw std::runtime_error("bad value '" + value + "' for " + key +
-                             " (expected 0/1/true/false)");
+    throw badValue(key, value, "expected 0/1/true/false");
 }
 
 CapacityMode
@@ -95,9 +118,7 @@ parseModeParam(const std::string &key, const std::string &value)
         return CapacityMode::FixedCapacity;
     if (value == "fixed-area")
         return CapacityMode::FixedArea;
-    throw std::runtime_error(
-        "bad value '" + value + "' for " + key +
-        " (expected fixed-capacity or fixed-area)");
+    throw badValue(key, value, "expected fixed-capacity or fixed-area");
 }
 
 std::vector<CapacityMode>
@@ -115,6 +136,59 @@ parseU32List(const std::string &key, const std::string &value)
     std::vector<std::uint32_t> out;
     for (const std::string &tok : ArgParser::parseStrList(value))
         out.push_back(ArgParser::parseU32(key, tok));
+    return out;
+}
+
+/** A trace scale the study runs accept (validTraceScale). */
+double
+parseScale(const std::string &key, const std::string &value)
+{
+    const double scale = ArgParser::parseNum(key, value);
+    if (!validTraceScale(scale))
+        throw badValue(key, value, "must be in (0, 1]");
+    return scale;
+}
+
+/** Throw naming @p key unless @p tech is a published model of @p mode. */
+void
+checkTech(const std::string &key, const std::string &tech,
+          CapacityMode mode)
+{
+    if (findPublishedLlcModel(tech, mode))
+        return;
+    std::string valid;
+    for (const LlcModel &m : publishedLlcModels(mode))
+        valid += (valid.empty() ? "" : ", ") + m.name;
+    throw badValue(key, tech, "valid: " + valid);
+}
+
+/**
+ * One fault knob, judged by the FaultInjector's own bounds
+ * (faultConfigError) once stored into otherwise-default knobs.
+ */
+template <typename T>
+T
+parseFaultKnob(const std::string &key, const std::string &token,
+               T FaultConfig::*knob)
+{
+    FaultConfig knobs;
+    if constexpr (std::is_same_v<T, double>)
+        knobs.*knob = ArgParser::parseNum(key, token);
+    else
+        knobs.*knob = ArgParser::parseU32(key, token);
+    if (const char *why = faultConfigError(knobs))
+        throw badValue(key, token, why);
+    return knobs.*knob;
+}
+
+/** A comma-separated list of parseFaultKnob values. */
+std::vector<double>
+parseFaultKnobList(const std::string &key, const std::string &value,
+                   double FaultConfig::*knob)
+{
+    std::vector<double> out;
+    for (const std::string &tok : ArgParser::parseStrList(value))
+        out.push_back(parseFaultKnob(key, tok, knob));
     return out;
 }
 
@@ -317,7 +391,7 @@ class FigureStudyDef : public Study
         if (key == "mode")
             cfg_.mode = parseModeParam(key, value);
         else if (key == "scale")
-            cfg_.traceScale = ArgParser::parseNum(key, value);
+            cfg_.traceScale = parseScale(key, value);
     }
 
   private:
@@ -403,11 +477,15 @@ class CoreSweepStudyDef : public Study
     applyParam(const std::string &key,
                const std::string &value) override
     {
-        if (key == "workloads")
+        if (key == "workloads") {
             cfg_.workloads = ArgParser::parseStrList(value);
-        else if (key == "techs")
+            for (const std::string &w : cfg_.workloads)
+                checkWorkload(key, w);
+        } else if (key == "techs") {
             cfg_.techs = ArgParser::parseStrList(value);
-        else if (key == "cores")
+            for (const std::string &t : cfg_.techs)
+                checkTech(key, t, CapacityMode::FixedArea);
+        } else if (key == "cores")
             cfg_.coreCounts = parseU32List(key, value);
     }
 
@@ -497,9 +575,23 @@ class CorrelationStudyDef : public Study
         else if (key == "modes")
             cfg_.modes = parseModeList(key, value);
         else if (key == "scale")
-            cfg_.traceScale = ArgParser::parseNum(key, value);
-        else if (key == "workloads")
-            cfg_.workloads = parseWorkloadList(value);
+            cfg_.traceScale = parseScale(key, value);
+        else if (key == "workloads") {
+            cfg_.workloads = parseWorkloadList(key, value);
+            // Empty selects the built-in suite.
+            if (cfg_.workloads.size() == 1)
+                throw badValue(key, value,
+                               "a correlation needs at least two "
+                               "workloads");
+        }
+    }
+
+    void
+    validate() const override
+    {
+        for (CapacityMode mode : cfg_.modes)
+            for (const std::string &tech : cfg_.techs)
+                checkTech("techs", tech, mode);
     }
 
   private:
@@ -583,10 +675,23 @@ class ServerSuiteStudyDef : public Study
             cfg_.ops = value;
         else if (key == "warm")
             cfg_.warm = value;
+    }
+
+    void
+    validate() const override
+    {
         // Catch bad grid values (negative skews, malformed counts)
         // now, with the daemon's parse-error path, not mid-run.
-        for (const std::string &w : serverSuiteWorkloads(cfg_))
+        const std::vector<std::string> grid = serverSuiteWorkloads(cfg_);
+        for (const std::string &w : grid)
             WorkloadRegistry::global().resolve(w);
+        if (grid.size() < 2)
+            throw std::runtime_error(
+                "bad grid tenants=" + joinU32s(cfg_.tenantCounts) +
+                " x readRatios=" + joinNums(cfg_.readRatios) +
+                " x skews=" + joinNums(cfg_.skews) + " (" +
+                std::to_string(grid.size()) +
+                " workload; a correlation needs at least two)");
     }
 
   private:
@@ -703,25 +808,26 @@ class ReliabilityStudyDef : public Study
                const std::string &value) override
     {
         if (key == "workload") {
-            // Resolve now: a bad spec string throws here, at parse
-            // time, instead of aborting the process mid-study.
-            WorkloadRegistry::global().resolve(value);
+            checkWorkload(key, value);
             cfg_.workload = value;
         } else if (key == "mode")
             cfg_.mode = parseModeParam(key, value);
         else if (key == "threads")
             cfg_.threads = ArgParser::parseU32(key, value);
         else if (key == "scale")
-            cfg_.traceScale = ArgParser::parseNum(key, value);
+            cfg_.traceScale = parseScale(key, value);
         else if (key == "ber-scale")
-            cfg_.berScales = ArgParser::parseNumList(key, value);
+            cfg_.berScales =
+                parseFaultKnobList(key, value, &FaultConfig::berScale);
         else if (key == "wear-leveling")
-            cfg_.wearLevelingFactors =
-                ArgParser::parseNumList(key, value);
+            cfg_.wearLevelingFactors = parseFaultKnobList(
+                key, value, &FaultConfig::wearLevelingFactor);
         else if (key == "wear-scale")
-            cfg_.wearScale = ArgParser::parseNum(key, value);
+            cfg_.wearScale =
+                parseFaultKnob(key, value, &FaultConfig::wearScale);
         else if (key == "max-retries")
-            cfg_.maxWriteRetries = ArgParser::parseU32(key, value);
+            cfg_.maxWriteRetries = parseFaultKnob(
+                key, value, &FaultConfig::maxWriteRetries);
     }
 
   private:
@@ -798,9 +904,7 @@ class CompareStudyDef : public Study
                const std::string &value) override
     {
         if (key == "workload") {
-            // Resolve now: a bad spec string throws here, at parse
-            // time, instead of aborting the process mid-study.
-            WorkloadRegistry::global().resolve(value);
+            checkWorkload(key, value);
             cfg_.workload = value;
         } else if (key == "tech")
             cfg_.tech = value;
@@ -809,7 +913,13 @@ class CompareStudyDef : public Study
         else if (key == "threads")
             cfg_.threads = ArgParser::parseU32(key, value);
         else if (key == "scale")
-            cfg_.traceScale = ArgParser::parseNum(key, value);
+            cfg_.traceScale = parseScale(key, value);
+    }
+
+    void
+    validate() const override
+    {
+        checkTech("tech", cfg_.tech, cfg_.mode);
     }
 
   private:
@@ -890,6 +1000,7 @@ Study::parse(const ParamMap &params)
         }
         applyParam(key, value);
     }
+    validate();
 }
 
 void
@@ -974,12 +1085,11 @@ runStudy(Study &study, const StudyRunOptions &opts)
     TraceScope scope(
         TraceContext::current().child("study/" + study.name()));
     {
-        TraceSpan span("study.run", "study",
-                       TraceContext::current().path);
+        Phase phase("study.run", "study", TraceContext::current().path);
         study.run(runner);
     }
-    TraceSpan span("study.report", "study",
-                   TraceContext::current().path + "/report");
+    Phase phase("study.report", "study",
+                TraceContext::current().path + "/report");
     return study.report();
 }
 

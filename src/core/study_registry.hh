@@ -88,9 +88,10 @@ class Study
     virtual ParamMap defaultConfig() const = 0;
 
     /**
-     * Apply parameter overrides. Unknown keys and malformed values
-     * throw std::runtime_error naming the study, the key, and the
-     * valid alternatives.
+     * Apply parameter overrides. An unknown key throws
+     * std::runtime_error naming the study, the key, and the valid
+     * keys; a malformed value, or one the run would reject, throws
+     * naming the key and the bad token.
      */
     void parse(const ParamMap &params);
 
@@ -120,6 +121,13 @@ class Study
     /** Apply one validated-key override; throw on a bad value. */
     virtual void applyParam(const std::string &key,
                             const std::string &value) = 0;
+
+    /**
+     * Check, once every override is applied, what no single value
+     * shows (a model name against the chosen mode, a grid's size);
+     * throw naming the key. The default accepts.
+     */
+    virtual void validate() const {}
 
     RunnerPool *pool_ = nullptr;
 };

@@ -2,6 +2,7 @@
 
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/trace_events.hh"
 
 namespace nvmcache {
 
@@ -24,7 +25,8 @@ AreaSolver::solve(const CellSpec &cell, double areaBudget,
 {
     MetricsRegistry &metrics = MetricsRegistry::global();
     metrics.counter("estimator.areaSolver.solves").inc();
-    PhaseTimer timer("estimator.areaSolver.solveSeconds");
+    Phase phase("estimator.areaSolver.solve", "nvsim",
+                "areaSolver/" + cell.name);
 
     AreaSolveResult best;
     bool found = false;

@@ -13,6 +13,7 @@
 #include "nvsim/tech.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
+#include "util/trace_events.hh"
 
 namespace nvmcache {
 
@@ -131,7 +132,8 @@ Estimator::estimate(const CellSpec &cell, const CacheOrgConfig &org) const
     // only one copy is kept.
     LlcModel model;
     {
-        PhaseTimer timer("estimator.estimateSeconds");
+        Phase phase("estimator.estimate", "nvsim",
+                    "estimate/" + traceHashId(key));
         model = estimateUncached(cell, org);
     }
     std::lock_guard<std::mutex> lock(memo_->mu);

@@ -127,12 +127,20 @@ publishedLlcModels(CapacityMode mode)
     return mode == CapacityMode::FixedCapacity ? fixed_cap : fixed_area;
 }
 
-const LlcModel &
-publishedLlcModel(const std::string &name, CapacityMode mode)
+const LlcModel *
+findPublishedLlcModel(const std::string &name, CapacityMode mode)
 {
     for (const LlcModel &m : publishedLlcModels(mode))
         if (m.name == name)
-            return m;
+            return &m;
+    return nullptr;
+}
+
+const LlcModel &
+publishedLlcModel(const std::string &name, CapacityMode mode)
+{
+    if (const LlcModel *m = findPublishedLlcModel(name, mode))
+        return *m;
     fatal("unknown published LLC model '", name, "'");
 }
 

@@ -42,7 +42,14 @@ std::string toString(CapacityMode mode);
  */
 const std::vector<LlcModel> &publishedLlcModels(CapacityMode mode);
 
-/** Look up one published model by citation name ("Oh", ..., "SRAM"). */
+/**
+ * Look up one published model by citation name ("Oh", ..., "SRAM");
+ * nullptr when @p mode has no model of that name.
+ */
+const LlcModel *findPublishedLlcModel(const std::string &name,
+                                      CapacityMode mode);
+
+/** findPublishedLlcModel for a name known to exist (fatal if not). */
 const LlcModel &publishedLlcModel(const std::string &name,
                                   CapacityMode mode);
 

@@ -265,7 +265,7 @@ EvalServer::retryAfterHintMs(std::size_t depth)
     // time (a fresh daemon guesses 100 ms). Clamped so one pathological
     // run can't tell clients to go away for an hour.
     const StatValue runStat = MetricsRegistry::global()
-                                  .distribution("service.runSeconds")
+                                  .distribution("phase.service.run")
                                   .value();
     const double meanMs = runStat.dist.count > 0
                               ? runStat.dist.mean * 1000.0
@@ -565,48 +565,49 @@ void
 EvalServer::runExecution(const std::shared_ptr<Execution> &exec)
 {
     MetricsRegistry &metrics = MetricsRegistry::global();
-    const auto runStart = std::chrono::steady_clock::now();
-
     const std::string traceTag =
         "t" + std::to_string(exec->traceId);
 
     JsonValue response = JsonValue::makeObject();
     bool ok = true;
-    try {
-        // Every span of this execution carries the request's trace id,
-        // so {"op":"trace","traceId":"t<N>"} recovers just this run.
+    double runSeconds = 0.0;
+    {
+        // Every span of this execution carries the request's trace
+        // id, so {"op":"trace","traceId":"t<N>"} recovers just this
+        // run.
         TraceScope scope(
             TraceContext{"req/" + traceTag, exec->traceId});
-        TraceSpan span("service.run", "service",
-                       TraceContext::current().path);
-        StudyRunOptions opts;
-        opts.jobs = cfg_.jobs;
-        opts.pool = &pool_;
-        if (fleet_) {
-            // Warm the shared persistent store through the worker
-            // daemons first; the local run below then replays from
-            // disk. Priming is best-effort — any shard the fleet
-            // could not place simply simulates locally.
-            const std::vector<StudyRequest> shards =
-                exec->study->shardRequests();
-            if (!shards.empty())
-                fleet_->primeAll(shards);
+        Phase phase("service.run", "service",
+                    TraceContext::current().path);
+        try {
+            StudyRunOptions opts;
+            opts.jobs = cfg_.jobs;
+            opts.pool = &pool_;
+            if (fleet_) {
+                // Warm the shared persistent store through the worker
+                // daemons first; the local run below then replays from
+                // disk. Priming is best-effort — any shard the fleet
+                // could not place simply simulates locally.
+                const std::vector<StudyRequest> shards =
+                    exec->study->shardRequests();
+                if (!shards.empty())
+                    fleet_->primeAll(shards);
+            }
+            const StatsSnapshot before = metrics.snapshot();
+            const StudyReport report = runStudy(*exec->study, opts);
+            const StatsSnapshot delta = metrics.snapshot().diff(before);
+            response.set("ok", JsonValue::makeBool(true));
+            response.set("study", JsonValue::makeString(exec->request.kind));
+            response.set("metrics", snapshotToJson(delta, "runner."));
+            response.set("result", report.result);
+        } catch (const std::exception &e) {
+            ok = false;
+            response.set("ok", JsonValue::makeBool(false));
+            response.set("error", JsonValue::makeString(e.what()));
         }
-        const StatsSnapshot before = metrics.snapshot();
-        const StudyReport report = runStudy(*exec->study, opts);
-        const StatsSnapshot delta = metrics.snapshot().diff(before);
-        response.set("ok", JsonValue::makeBool(true));
-        response.set("study", JsonValue::makeString(exec->request.kind));
-        response.set("metrics", snapshotToJson(delta, "runner."));
-        response.set("result", report.result);
-    } catch (const std::exception &e) {
-        ok = false;
-        response.set("ok", JsonValue::makeBool(false));
-        response.set("error", JsonValue::makeString(e.what()));
+        runSeconds = phase.elapsedSeconds();
     }
     response.set("traceId", JsonValue::makeString(traceTag));
-    const double runSeconds = secondsSince(runStart);
-    metrics.distribution("service.runSeconds").add(runSeconds);
     metrics.counter(ok ? "service.completed" : "service.failed").inc();
     response.set("runSeconds", JsonValue::makeNumber(runSeconds));
     response.set("queueDepth",

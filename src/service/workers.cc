@@ -112,9 +112,8 @@ WorkerFleet::primeAll(const std::vector<StudyRequest> &requests)
     auto latch = std::make_shared<Latch>();
     latch->pending = unique.size();
 
-    PhaseTimer timer("service.worker.primeSeconds");
-    TraceSpan span("service.worker.prime", "service",
-                   TraceContext::current().path + "/prime");
+    Phase phase("service.worker.prime", "service",
+                TraceContext::current().path + "/prime");
     // Contiguous block assignment: shard grids enumerate the sweep
     // workload-major, so a contiguous range keeps every sub-request
     // that shares a recorded trace on one worker — the trace is built
@@ -271,9 +270,9 @@ WorkerFleet::runOn(Lane &lane, std::unique_ptr<ServiceClient> &client,
                    const Job &job)
 {
     const std::string key = job.request.canonicalKey();
-    TraceSpan span("service.worker.run", "service",
-                   "worker/w" + std::to_string(lane.index) + "/" +
-                       traceHashId(key));
+    Phase phase("service.worker.run", "service",
+                "worker/w" + std::to_string(lane.index) + "/" +
+                    traceHashId(key));
     try {
         if (!client) {
             // The worker may still be binding its socket; dial with
@@ -618,8 +617,8 @@ WorkerSupervisor::spawn(Slot &slot)
     slot.alive = true;
     slot.missedHeartbeats = 0;
     slot.spawnedAt = std::chrono::steady_clock::now();
-    TraceSpan span("service.worker.spawn", "service",
-                   "worker/w" + std::to_string(slot.index) + "/spawn");
+    traceInstant("service.worker.spawn", "service",
+                 "worker/w" + std::to_string(slot.index) + "/spawn");
 }
 
 void

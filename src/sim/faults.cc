@@ -33,6 +33,23 @@ lineErrorProbs(double perBitRate, std::uint32_t bits)
     return p;
 }
 
+const char *
+faultConfigError(const FaultConfig &cfg)
+{
+    if (!(cfg.berScale >= 0.0))
+        return "berScale must be >= 0";
+    if (!(cfg.wearLevelingFactor > 0.0 && cfg.wearLevelingFactor <= 1.0))
+        return "wear-leveling factor must be (0,1]";
+    if (!(cfg.wearScale >= 0.0))
+        return "wearScale must be >= 0";
+    if (cfg.capacitySampleInterval == 0)
+        return "capacitySampleInterval must be >= 1";
+    if (cfg.maxWriteRetries > 20)
+        return "maxWriteRetries capped at 20 (the 2^k pulse escalation "
+               "overflows cycle math beyond)";
+    return nullptr;
+}
+
 FaultInjector::FaultInjector(const FaultConfig &cfg, NvmClass klass,
                              std::uint64_t numLines,
                              std::uint32_t blockBytes)
@@ -40,18 +57,8 @@ FaultInjector::FaultInjector(const FaultConfig &cfg, NvmClass klass,
 {
     if (numLines == 0 || blockBytes == 0)
         fatal("FaultInjector: empty cache geometry");
-    if (cfg_.berScale < 0.0)
-        fatal("FaultInjector: berScale must be >= 0");
-    if (cfg_.wearLevelingFactor <= 0.0 ||
-        cfg_.wearLevelingFactor > 1.0)
-        fatal("FaultInjector: wear-leveling factor must be (0,1]");
-    if (cfg_.wearScale < 0.0)
-        fatal("FaultInjector: wearScale must be >= 0");
-    if (cfg_.capacitySampleInterval == 0)
-        fatal("FaultInjector: capacitySampleInterval must be >= 1");
-    if (cfg_.maxWriteRetries > 20)
-        fatal("FaultInjector: maxWriteRetries capped at 20 (the "
-              "2^k pulse escalation overflows cycle math beyond)");
+    if (const char *why = faultConfigError(cfg_))
+        fatal("FaultInjector: ", why);
 
     const std::uint32_t bits = blockBytes * 8;
     const RawBitErrorRates raw = rawBitErrorRates(klass);

@@ -90,6 +90,13 @@ struct FaultConfig
 };
 
 /**
+ * Why @p cfg's knobs are out of range, or nullptr when every knob is
+ * valid. This is the FaultInjector's contract; study parameters are
+ * checked against it at parse time too.
+ */
+const char *faultConfigError(const FaultConfig &cfg);
+
+/**
  * Per-attempt line error probabilities for a per-bit error rate @p
  * perBitRate over a @p bits -bit line, assuming independent bit
  * errors. SECDED ECC corrects exactly-one-bit errors and detects (but

@@ -1,6 +1,5 @@
 #include "sim/private_trace.hh"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
@@ -161,29 +160,18 @@ PrivateTrace::deserialize(const std::string &payload)
                 "PrivateTrace payload: lane " + std::to_string(t) +
                 " event " + std::to_string(event) + ": " + what);
         };
-        if (lane.wbStream.size() < kVarintPad)
-            fail(0, "writeback stream shorter than its padding");
-        const std::uint8_t *p = lane.wbStream.data();
-        const std::uint8_t *const pad =
-            p + (lane.wbStream.size() - kVarintPad);
+        VarintWalk wb(lane.wbStream);
         for (std::uint64_t i = 0; i < lane.count; ++i) {
             const std::uint8_t nib =
                 (lane.events[i >> 1] >> ((i & 1) * 4)) & 0xF;
             const std::uint8_t wbCount = nib >> 2;
             if ((nib & 3) == 3 || wbCount > PrivateEvent{}.wb.size())
                 fail(i, "invalid outcome nibble");
-            for (std::uint8_t w = 0; w < wbCount; ++w) {
-                // One LEB128 varint of at most 10 bytes, ending
-                // before the padding.
-                unsigned bytes = 0;
-                do {
-                    if (p == pad || ++bytes > 10)
-                        fail(i, "malformed writeback stream");
-                } while (*p++ & 0x80);
-            }
+            for (std::uint8_t w = 0; w < wbCount; ++w)
+                if (!wb.next())
+                    fail(i, "malformed writeback stream");
         }
-        if (p != pad || std::any_of(pad, pad + kVarintPad,
-                                    [](std::uint8_t b) { return b != 0; }))
+        if (!wb.atPadding())
             fail(lane.count, "writeback stream does not end in exactly "
                              "its padding");
     };

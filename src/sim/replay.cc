@@ -22,8 +22,6 @@
 
 #include "sim/system.hh"
 
-#include <chrono>
-
 #include "util/logging.hh"
 #include "util/trace_events.hh"
 
@@ -62,9 +60,8 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
         return run(batch, privateTrace);
     }
 
-    const auto t0 = std::chrono::steady_clock::now();
-    TraceSpan runSpan("replay.run", "engine",
-                      TraceContext::current().path + "/replay");
+    Phase phase("replay.run", "engine",
+                TraceContext::current().path + "/replay");
 
     PrivateCore &core = cores_[0];
     PrivateCursor pcur = privateTrace->cursor(0);
@@ -135,10 +132,7 @@ System::runReplay(const std::vector<ReplaySource *> &sources,
     }
     greg.counter("sim.replay.runs.serial").inc(1);
 
-    const double seconds =
-        std::chrono::duration<double>(
-            std::chrono::steady_clock::now() - t0)
-            .count();
+    const double seconds = phase.elapsedSeconds();
     greg.counter("sim.replay.accesses").inc(totalAccesses);
     if (seconds > 0.0)
         greg.gauge("sim.replay.accessesPerSecond")

@@ -777,25 +777,6 @@ MetricsRegistry::global()
 
 // --- phase timer -----------------------------------------------------
 
-PhaseTimer::PhaseTimer(std::string path, MetricsRegistry &registry)
-    : path_(std::move(path)), registry_(registry),
-      start_(std::chrono::steady_clock::now())
-{
-}
-
-double
-PhaseTimer::elapsedSeconds() const
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - start_)
-        .count();
-}
-
-PhaseTimer::~PhaseTimer()
-{
-    registry_.distribution(path_).add(elapsedSeconds());
-}
-
 // --- progress reporting ----------------------------------------------
 
 namespace {

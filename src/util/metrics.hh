@@ -23,10 +23,11 @@
  * components are reused), merged across runs, and exported as JSON, as
  * CSV, or as a pretty console tree.
  *
- * PhaseTimer is an RAII wall-clock scope timer recording seconds into
- * a Distribution ("phase.<name>"), and a small opt-in progress
- * reporter shows live run counts during long sweeps, serialized
- * through the logging sinks so concurrent jobs never shred the line.
+ * Layers are timed with Phase (util/trace_events.hh), which records
+ * seconds into a Distribution ("phase.<name>"), and a small opt-in
+ * progress reporter shows live run counts during long sweeps,
+ * serialized through the logging sinks so concurrent jobs never shred
+ * the line.
  */
 
 #ifndef NVMCACHE_UTIL_METRICS_HH
@@ -34,7 +35,6 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <map>
@@ -325,29 +325,6 @@ class MetricsRegistry
 
     mutable std::mutex mu_;
     std::map<std::string, std::unique_ptr<Stat>> stats_;
-};
-
-/**
- * RAII wall-clock scope timer: records elapsed seconds into
- * @p registry's Distribution at @p path on destruction.
- */
-class PhaseTimer
-{
-  public:
-    explicit PhaseTimer(std::string path,
-                        MetricsRegistry &registry =
-                            MetricsRegistry::global());
-    ~PhaseTimer();
-
-    PhaseTimer(const PhaseTimer &) = delete;
-    PhaseTimer &operator=(const PhaseTimer &) = delete;
-
-    double elapsedSeconds() const;
-
-  private:
-    std::string path_;
-    MetricsRegistry &registry_;
-    std::chrono::steady_clock::time_point start_;
 };
 
 // --- progress reporting (opt-in, console) ---------------------------

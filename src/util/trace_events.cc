@@ -119,14 +119,29 @@ threadBuffer()
     return *buf;
 }
 
+using Clock = std::chrono::steady_clock;
+
+/** Process epoch of the wall-clock axis, fixed by its first use. */
+Clock::time_point
+traceEpoch()
+{
+    static const Clock::time_point epoch = Clock::now();
+    return epoch;
+}
+
+std::int64_t
+micros(Clock::duration d)
+{
+    return std::chrono::duration_cast<std::chrono::microseconds>(d)
+        .count();
+}
+
 /** Microseconds on the shared steady clock since the process epoch. */
 std::int64_t
 nowMicros()
 {
-    static const auto epoch = std::chrono::steady_clock::now();
-    return std::chrono::duration_cast<std::chrono::microseconds>(
-               std::chrono::steady_clock::now() - epoch)
-        .count();
+    const Clock::time_point epoch = traceEpoch();
+    return micros(Clock::now() - epoch);
 }
 
 void
@@ -181,28 +196,37 @@ TraceScope::~TraceScope()
         threadContext() = std::move(saved_);
 }
 
-TraceSpan::TraceSpan(const char *name, const char *cat, std::string id)
+Phase::Phase(std::string name, const char *cat, std::string id)
+    : name_(std::move(name)), cat_(cat), traced_(tracingEnabled())
 {
-    if (!tracingEnabled())
-        return;
-    live_ = true;
-    name_ = name;
-    cat_ = cat;
-    id_ = std::move(id);
-    traceId_ = threadContext().traceId;
-    start_ = nowMicros();
+    if (traced_) {
+        id_ = std::move(id);
+        traceId_ = threadContext().traceId;
+        traceEpoch(); // fix the epoch no later than start_
+    }
+    start_ = Clock::now();
 }
 
-TraceSpan::~TraceSpan()
+double
+Phase::elapsedSeconds() const
 {
-    if (!live_)
+    return std::chrono::duration<double>(Clock::now() - start_).count();
+}
+
+Phase::~Phase()
+{
+    const Clock::time_point end = Clock::now();
+    MetricsRegistry::global()
+        .distribution("phase." + name_)
+        .add(std::chrono::duration<double>(end - start_).count());
+    if (!traced_)
         return;
     TraceEvent ev;
     ev.kind = TraceEventKind::Span;
     ev.traceId = traceId_;
-    ev.ts = start_;
-    ev.dur = nowMicros() - start_;
-    ev.name = name_;
+    ev.ts = micros(start_ - traceEpoch());
+    ev.dur = micros(end - start_);
+    ev.name = std::move(name_);
     ev.cat = cat_;
     ev.id = std::move(id_);
     emit(std::move(ev));
@@ -210,32 +234,11 @@ TraceSpan::~TraceSpan()
 
 TraceTaskScope::TraceTaskScope(const TraceContext &parent,
                                std::size_t index)
+    : scope_(tracingEnabled()
+                 ? parent.child("job" + std::to_string(index))
+                 : TraceContext{}),
+      job_("parallel.job", "engine", TraceContext::current().path)
 {
-    if (!tracingEnabled())
-        return;
-    live_ = true;
-    saved_ = threadContext();
-    TraceContext job = parent.child("job" + std::to_string(index));
-    id_ = job.path;
-    traceId_ = job.traceId;
-    threadContext() = std::move(job);
-    start_ = nowMicros();
-}
-
-TraceTaskScope::~TraceTaskScope()
-{
-    if (!live_)
-        return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Span;
-    ev.traceId = traceId_;
-    ev.ts = start_;
-    ev.dur = nowMicros() - start_;
-    ev.name = "parallel.job";
-    ev.cat = "engine";
-    ev.id = std::move(id_);
-    threadContext() = std::move(saved_);
-    emit(std::move(ev));
 }
 
 void
@@ -247,23 +250,6 @@ traceInstant(const char *name, const char *cat, std::string id)
     ev.kind = TraceEventKind::Instant;
     ev.traceId = threadContext().traceId;
     ev.ts = nowMicros();
-    ev.name = name;
-    ev.cat = cat;
-    ev.id = std::move(id);
-    emit(std::move(ev));
-}
-
-void
-traceCounter(const char *name, const char *cat, std::string id,
-             double value)
-{
-    if (!tracingEnabled())
-        return;
-    TraceEvent ev;
-    ev.kind = TraceEventKind::Counter;
-    ev.traceId = threadContext().traceId;
-    ev.ts = nowMicros();
-    ev.value = value;
     ev.name = name;
     ev.cat = cat;
     ev.id = std::move(id);

@@ -6,9 +6,11 @@
  *
  * Three event kinds cover the framework's needs:
  *
- *  - TraceSpan:     RAII wall-clock span ("X" complete event) around
- *                   a phase — study dispatch, a memoized simulation,
- *                   a parallelMap job, a replay run.
+ *  - Phase:         RAII scope timer around a layer — study dispatch,
+ *                   a memoized simulation, a parallelMap job, a
+ *                   replay run. Always a "phase.<name>" metric; also
+ *                   a wall-clock span ("X" complete event) while
+ *                   tracing is on.
  *  - traceInstant:  a point event ("i"), e.g. a memo hit.
  *  - traceSimCounter: a counter sample ("C") on the *simulated-time*
  *                   axis — LLC misses/writebacks/scrubs/retirements
@@ -25,9 +27,9 @@
  * Threading model: every thread appends to its own lock-free chunked
  * buffer (an atomic count published with release ordering; the chunk
  * list mutex is touched only on chunk allocation), so the enabled
- * path never contends. The whole subsystem is a runtime toggle that
- * is OFF by default; when disabled every emission site reduces to one
- * relaxed atomic load.
+ * path never contends. Event collection is a runtime toggle that is
+ * OFF by default; when disabled every emission site reduces to one
+ * relaxed atomic load, and a Phase only records its metric.
  *
  * TraceContext is a thread-local (path, traceId) pair: TraceScope
  * installs one for a dynamic extent, TraceTaskScope derives the
@@ -40,6 +42,7 @@
 #define NVMCACHE_UTIL_TRACE_EVENTS_HH
 
 #include <atomic>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -122,58 +125,55 @@ class TraceScope
 };
 
 /**
- * RAII wall-clock span: records an "X" event over its lifetime.
- * @p id is the full deterministic id (callers compose it from
+ * RAII scope timer, the one way to time a layer. On destruction it
+ * adds its wall-clock seconds to the global Distribution
+ * "phase.<name>", whether tracing is on or off; while tracing is on
+ * it also records an "X" span named @p name over its lifetime. @p id
+ * is the span's full deterministic id (callers compose it from
  * TraceContext::current().path or use a self-contained id when the
- * emitting thread is raced over, e.g. memoized simulations).
+ * emitting thread is raced over, e.g. memoized simulations); it is
+ * dropped while tracing is off.
  */
-class TraceSpan
+class Phase
 {
   public:
-    TraceSpan(const char *name, const char *cat, std::string id);
-    ~TraceSpan();
+    Phase(std::string name, const char *cat, std::string id);
+    ~Phase();
 
-    TraceSpan(const TraceSpan &) = delete;
-    TraceSpan &operator=(const TraceSpan &) = delete;
+    Phase(const Phase &) = delete;
+    Phase &operator=(const Phase &) = delete;
+
+    /** Wall-clock seconds since construction. */
+    double elapsedSeconds() const;
 
   private:
-    bool live_ = false;
-    const char *name_ = nullptr;
-    const char *cat_ = nullptr;
+    std::string name_;
+    const char *cat_;
+    bool traced_;
     std::string id_;
     std::uint64_t traceId_ = 0;
-    std::int64_t start_ = 0;
+    std::chrono::steady_clock::time_point start_;
 };
 
 /**
- * One parallelMap job: emits a "parallel.job" span with id
- * "<parent>/job<index>" and installs that child context for the
- * job's dynamic extent, on the inline and pooled paths identically —
- * which is what keeps traces byte-identical at any job count.
+ * One parallelMap job: installs the child context "<parent>/job<index>"
+ * for the job's dynamic extent and times the job as the
+ * "parallel.job" Phase with that id, on the inline and pooled paths
+ * identically — which is what keeps traces byte-identical at any job
+ * count.
  */
 class TraceTaskScope
 {
   public:
     TraceTaskScope(const TraceContext &parent, std::size_t index);
-    ~TraceTaskScope();
-
-    TraceTaskScope(const TraceTaskScope &) = delete;
-    TraceTaskScope &operator=(const TraceTaskScope &) = delete;
 
   private:
-    bool live_ = false;
-    TraceContext saved_;
-    std::string id_;
-    std::uint64_t traceId_ = 0;
-    std::int64_t start_ = 0;
+    TraceScope scope_;
+    Phase job_;
 };
 
 /** Emit an instant event (no-op while disabled). */
 void traceInstant(const char *name, const char *cat, std::string id);
-
-/** Emit a wall-clock counter sample (no-op while disabled). */
-void traceCounter(const char *name, const char *cat, std::string id,
-                  double value);
 
 /**
  * Emit a simulated-time counter sample: @p simCycles is the simulated

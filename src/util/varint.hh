@@ -6,12 +6,15 @@
  * Streams are sequences of varints appended with putVarint and read
  * back with getVarint / getVarintFast. The fast decoder reads one
  * unaligned 8-byte window per varint, so any buffer it decodes must
- * keep kVarintPad readable (zero) bytes after the last varint.
+ * keep kVarintPad readable (zero) bytes after the last varint; a
+ * stream read from outside the process is checked with VarintWalk
+ * before it is decoded.
  */
 
 #ifndef NVMCACHE_UTIL_VARINT_HH
 #define NVMCACHE_UTIL_VARINT_HH
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -87,6 +90,51 @@ getVarintFast(const std::uint8_t *&p)
     v |= (w >> 7) & (std::uint64_t(0x7f) << 49);
     return v;
 }
+
+/**
+ * Bounds-checked walk over a padded varint stream, for decoders that
+ * check a stream once and then read it unchecked with getVarintFast:
+ * each varint must be LEB128 of at most 10 bytes that ends before the
+ * stream's last kVarintPad bytes, and those bytes must be zero.
+ */
+class VarintWalk
+{
+  public:
+    explicit VarintWalk(const std::vector<std::uint8_t> &stream)
+        : p_(stream.data()),
+          pad_(stream.data() + stream.size() -
+               std::min(stream.size(), kVarintPad)),
+          end_(stream.data() + stream.size())
+    {
+    }
+
+    /** Step over one varint; false when it is malformed or overruns. */
+    bool
+    next()
+    {
+        for (unsigned bytes = 0; bytes < 10; ++bytes) {
+            if (p_ == pad_)
+                return false;
+            if (!(*p_++ & 0x80))
+                return true;
+        }
+        return false;
+    }
+
+    /** Whether exactly kVarintPad zero bytes follow the walk. */
+    bool
+    atPadding() const
+    {
+        return p_ == pad_ && std::size_t(end_ - pad_) == kVarintPad &&
+               std::all_of(pad_, end_,
+                           [](std::uint8_t b) { return b == 0; });
+    }
+
+  private:
+    const std::uint8_t *p_;
+    const std::uint8_t *pad_;
+    const std::uint8_t *end_;
+};
 
 /** Map signed deltas to small unsigned values (zigzag). */
 inline std::uint64_t

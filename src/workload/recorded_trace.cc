@@ -180,6 +180,17 @@ RecordedTrace::serialize() const
 std::shared_ptr<const RecordedTrace>
 RecordedTrace::deserialize(const std::string &payload)
 {
+    // TraceCursor decodes without bounds checks, so a track must hold
+    // exactly what record() writes: a 2-bit kind per access, and a
+    // stream of one (address delta, gap) varint pair per access
+    // followed by kVarintPad zero bytes.
+    const auto fail = [](std::uint32_t t, std::uint64_t access,
+                         const char *what) {
+        throw std::runtime_error(
+            "RecordedTrace payload: track " + std::to_string(t) +
+            " access " + std::to_string(access) + ": " + what);
+    };
+
     WireReader r(payload);
     const std::uint32_t numTracks = r.getU32();
     std::shared_ptr<RecordedTrace> trace(new RecordedTrace());
@@ -191,11 +202,15 @@ RecordedTrace::deserialize(const std::string &payload)
         track.stream.assign(stream.begin(), stream.end());
         const std::string kinds = r.getStr();
         track.kinds.assign(kinds.begin(), kinds.end());
-        // The 2-bit kind column must cover count accesses or replay
-        // would read past its end.
         if (track.kinds.size() * 4 < track.count)
-            throw std::runtime_error(
-                "RecordedTrace payload: kind column too short");
+            fail(t, track.kinds.size() * 4, "kind column too short");
+        VarintWalk walk(track.stream);
+        for (std::uint64_t i = 0; i < track.count; ++i)
+            if (!walk.next() || !walk.next())
+                fail(t, i, "malformed access stream");
+        if (!walk.atPadding())
+            fail(t, track.count,
+                 "access stream does not end in exactly its padding");
     }
     r.expectEnd();
     return trace;

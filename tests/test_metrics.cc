@@ -222,19 +222,6 @@ TEST(MetricsRegistry, GlobalRegistryIsASingleton)
     EXPECT_EQ(&MetricsRegistry::global(), &MetricsRegistry::global());
 }
 
-TEST(MetricsRegistry, PhaseTimerRecordsIntoDistribution)
-{
-    MetricsRegistry reg;
-    {
-        PhaseTimer t("phase.test", reg);
-        EXPECT_GE(t.elapsedSeconds(), 0.0);
-    }
-    const DistributionSnapshot d =
-        reg.distribution("phase.test").snapshot();
-    EXPECT_EQ(d.count, 1u);
-    EXPECT_GE(d.sum, 0.0);
-}
-
 // --- distribution ----------------------------------------------------
 
 TEST(MetricsDistribution, BucketEdges)

@@ -234,9 +234,50 @@ TEST(Registry, UnknownParameterListsValidKeys)
 
 TEST(Registry, BadParameterValueNamesKey)
 {
-    auto study = StudyRegistry::global().create("figure");
-    EXPECT_THROW(study->parse({{"mode", "sideways"}}),
-                 std::runtime_error);
+    // Each value is well-formed but out of range for the run, whose
+    // own checks are fatal() (the mode does not parse at all): parse
+    // rejects each one first, naming the key and the bad token.
+    struct Case
+    {
+        const char *study;
+        ParamMap params;
+        const char *key;
+        const char *token;
+    };
+    const std::vector<Case> cases = {
+        {"figure", {{"mode", "sideways"}}, "mode", "sideways"},
+        {"figure", {{"scale", "0"}}, "scale", "0"},
+        {"correlation", {{"scale", "1.5"}}, "scale", "1.5"},
+        {"compare", {{"scale", "-1"}}, "scale", "-1"},
+        {"reliability", {{"scale", "2"}}, "scale", "2"},
+        {"compare", {{"tech", "Bogus"}}, "tech", "Bogus"},
+        {"core-sweep", {{"techs", "Jan,Bogus"}}, "techs", "Bogus"},
+        {"correlation", {{"techs", "Bogus"}}, "techs", "Bogus"},
+        {"core-sweep", {{"workloads", "ft,nosuch"}}, "workloads",
+         "nosuch"},
+        {"reliability", {{"ber-scale", "1,-1"}}, "ber-scale", "-1"},
+        {"reliability", {{"wear-leveling", "0"}}, "wear-leveling", "0"},
+        {"reliability", {{"wear-leveling", "1.5"}}, "wear-leveling",
+         "1.5"},
+        {"reliability", {{"wear-scale", "-2"}}, "wear-scale", "-2"},
+        {"reliability", {{"max-retries", "21"}}, "max-retries", "21"},
+        {"correlation", {{"workloads", "lbm"}}, "workloads", "lbm"},
+        {"server-suite",
+         {{"tenants", "1"}, {"readRatios", "0.95"}, {"skews", "0.99"}},
+         "tenants",
+         "1"},
+    };
+    for (const Case &c : cases) {
+        auto study = StudyRegistry::global().create(c.study);
+        try {
+            study->parse(c.params);
+            ADD_FAILURE() << c.study << ": accepted bad " << c.key;
+        } catch (const std::runtime_error &e) {
+            const std::string msg = e.what();
+            EXPECT_NE(msg.find(c.key), std::string::npos) << msg;
+            EXPECT_NE(msg.find(c.token), std::string::npos) << msg;
+        }
+    }
 }
 
 TEST(Registry, RequestJsonRoundTrip)
@@ -527,6 +568,16 @@ TEST(Service, PingStudiesAndMetricsOps)
         EXPECT_FALSE(bad.at("ok").asBool());
         EXPECT_NE(bad.at("error").asString().find("wrkload"),
                   std::string::npos);
+
+        // A value that parses as a string but names no model fails
+        // the request, not the daemon.
+        const JsonValue bogus = client.request(JsonValue::parse(
+            "{\"op\":\"run\",\"study\":\"compare\","
+            "\"params\":{\"tech\":\"Bogus\"}}"));
+        EXPECT_FALSE(bogus.at("ok").asBool());
+        EXPECT_NE(bogus.at("error").asString().find("tech"),
+                  std::string::npos);
+        EXPECT_TRUE(client.ping());
     }
     server.requestStop();
     server.wait();
@@ -715,6 +766,9 @@ TEST(Service, HealthAndStatsVerbsExposeLiveState)
         EXPECT_GE(reqs.numberOr("service.requests.ping", 0.0), 1.0);
         EXPECT_GE(reqs.numberOr("service.requests.health", 0.0), 1.0);
 
+        tc.sendRun(compareRequest("0.02"), "r1");
+        ASSERT_TRUE(tc.waitFor("r1").at("ok").asBool());
+
         tc.sendOp("stats", "s1");
         const JsonValue s = tc.waitFor("s1");
         ASSERT_TRUE(s.at("ok").asBool()) << s.dump();
@@ -726,6 +780,13 @@ TEST(Service, HealthAndStatsVerbsExposeLiveState)
                   std::string::npos);
         EXPECT_NE(text.find("nvmcache_service_uptimeSeconds"),
                   std::string::npos);
+        // Each layer's time shows with tracing off.
+        for (const char *phase : {"service_run", "study_run",
+                                  "study_report"})
+            EXPECT_NE(text.find(std::string("# TYPE nvmcache_phase_") +
+                                phase + " summary"),
+                      std::string::npos)
+                << phase;
 
         // Unknown verbs are counted in their own bucket and fail.
         tc.sendOp("frobnicate", "u1");
@@ -1336,6 +1397,11 @@ TEST(Service, ResumesJournaledInflightRunsAfterRestart)
         doc.set("version", JsonValue::makeNumber(1));
         JsonValue inflight = JsonValue::makeArray();
         inflight.items.push_back(compareRequest("0.02").toJson());
+        // A bad parameter is skipped with a warning at load, never
+        // resumed into a run that would take the daemon down.
+        StudyRequest bogus = compareRequest("0.02");
+        bogus.params["tech"] = "Bogus";
+        inflight.items.push_back(bogus.toJson());
         doc.set("inflight", inflight);
         std::ofstream out(journal);
         out << doc.dump() << "\n";

@@ -25,6 +25,7 @@
 #include "store/codec.hh"
 #include "store/result_store.hh"
 #include "util/metrics.hh"
+#include "util/wire.hh"
 #include "workload/generators.hh"
 #include "workload/recorded_trace.hh"
 #include "workload/suite.hh"
@@ -158,6 +159,38 @@ TEST(StoreCodec, RecordedTraceRoundTrips)
     EXPECT_THROW(RecordedTrace::deserialize(
                      payload.substr(0, payload.size() - 3)),
                  std::runtime_error);
+
+    const auto expectRejected = [](const std::string &bad,
+                                   const std::string &why) {
+        try {
+            RecordedTrace::deserialize(bad);
+            ADD_FAILURE() << "accepted: " << why;
+        } catch (const std::runtime_error &e) {
+            EXPECT_NE(std::string(e.what()).find("track 0 access "),
+                      std::string::npos)
+                << e.what();
+        }
+    };
+
+    // 4096 accesses whose kind column is complete but whose stream is
+    // empty: replay would decode 8192 varints out of nothing.
+    WireWriter w;
+    w.putU32(1);
+    w.putU64(4096);
+    w.putStr("");
+    w.putStr(std::string(1024, '\0'));
+    expectRejected(w.take(), "empty access stream");
+
+    // Wire layout: u32 tracks, then per track u64 count and the
+    // u64-length-prefixed stream. Track 0's last varint runs on into
+    // the zero padding.
+    std::uint64_t streamLen = 0;
+    for (int i = 7; i >= 0; --i)
+        streamLen = (streamLen << 8) |
+                    std::uint8_t(payload[4 + 8 + std::size_t(i)]);
+    std::string badStream = payload;
+    badStream[4 + 8 + 8 + streamLen - kVarintPad - 1] |= char(0x80);
+    expectRejected(badStream, "access varint overrunning the pad");
 }
 
 TEST(StoreCodec, PrivateTraceRoundTrips)

@@ -1,6 +1,7 @@
 /**
  * @file
- * The tracing subsystem: disabled-by-default no-op behavior, context
+ * The tracing subsystem: disabled-by-default behavior (a Phase still
+ * records its phase.<name> metric, nothing else is collected), context
  * scoping, event collection and the Chrome-trace-event export schema,
  * request-id filtering, parent-directory creation on write, and the
  * headline determinism contract — a run's trace has byte-identical
@@ -20,6 +21,7 @@
 #include "core/experiment.hh"
 #include "core/study.hh"
 #include "util/json.hh"
+#include "util/metrics.hh"
 #include "util/parallel.hh"
 #include "util/trace_events.hh"
 
@@ -62,6 +64,16 @@ normalizedTrace(std::uint64_t traceId = 0)
     return doc;
 }
 
+/** Samples recorded so far by Phases named @p name. */
+std::uint64_t
+phaseCount(const std::string &name)
+{
+    return MetricsRegistry::global()
+        .distribution("phase." + name)
+        .snapshot()
+        .count;
+}
+
 /** Count of events in @p doc with name == @p name. */
 std::size_t
 countNamed(const JsonValue &doc, const std::string &name)
@@ -81,21 +93,37 @@ TEST(TraceEvents, DisabledByDefaultCollectsNothing)
 {
     clearTraceEvents();
     ASSERT_FALSE(tracingEnabled());
+    const std::uint64_t before = phaseCount("test.disabled");
     {
-        TraceSpan span("x", "study", "id");
+        Phase phase("test.disabled", "study", "id");
     }
     traceInstant("y", "engine", "id2");
-    traceCounter("z", "engine", "id3", 1.0);
     traceSimCounter("w", "id4", 100, 2.0);
     EXPECT_EQ(traceEventCount(), 0u);
     EXPECT_EQ(traceDroppedCount(), 0u);
+    // A Phase's metric does not depend on tracing.
+    EXPECT_EQ(phaseCount("test.disabled"), before + 1);
+}
+
+TEST(MetricsRegistry, PhaseTimerRecordsIntoDistribution)
+{
+    Distribution &d =
+        MetricsRegistry::global().distribution("phase.test.timer");
+    const DistributionSnapshot before = d.snapshot();
+    {
+        Phase phase("test.timer", "study", "id");
+        EXPECT_GE(phase.elapsedSeconds(), 0.0);
+    }
+    const DistributionSnapshot after = d.snapshot();
+    EXPECT_EQ(after.count, before.count + 1);
+    EXPECT_GE(after.sum, before.sum);
 }
 
 TEST(TraceEvents, CollectsAllThreeKindsWhenEnabled)
 {
     TracingOn on;
     {
-        TraceSpan span("phase.a", "study", "a");
+        Phase phase("test.a", "study", "a");
     }
     traceInstant("hit", "engine", "a/hit");
     traceSimCounter("llc.misses", "a/llc", 4096, 17.0);
@@ -112,7 +140,7 @@ TEST(TraceEvents, CollectsAllThreeKindsWhenEnabled)
     EXPECT_EQ(evs[1].ts, 4096);
     EXPECT_EQ(evs[1].value, 17.0);
     EXPECT_EQ(evs[2].kind, TraceEventKind::Span);
-    EXPECT_EQ(evs[2].name, "phase.a");
+    EXPECT_EQ(evs[2].name, "test.a");
     EXPECT_GE(evs[2].dur, 0);
 }
 
@@ -167,7 +195,7 @@ TEST(TraceEvents, ExportMatchesChromeTraceEventSchema)
     TracingOn on;
     {
         TraceScope scope(TraceContext{"req", 3});
-        TraceSpan span("service.run", "service", "req");
+        Phase phase("service.run", "service", "req");
         traceInstant("hit", "engine", "req/hit");
     }
     traceSimCounter("llc.misses", "run/llc", 10, 2.0);
