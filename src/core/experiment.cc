@@ -1,6 +1,7 @@
 #include "core/experiment.hh"
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <mutex>
@@ -12,6 +13,7 @@
 #include "util/metrics.hh"
 #include "util/parallel.hh"
 #include "util/trace_events.hh"
+#include "workload/generators.hh"
 
 namespace nvmcache {
 
@@ -263,100 +265,188 @@ RunnerPool::size() const
     return runners_.size();
 }
 
+namespace {
+
 /**
- * Run cache with exactly-once semantics: the first caller of a key
- * owns the simulation, concurrent callers of the same key block on
- * its future instead of simulating again. The trace store applies
- * the same discipline one layer down, keyed on generator identity
- * only, so the 11 models of a tech sweep (and the characterization
- * pass) replay one shared RecordedTrace instead of regenerating.
+ * Keyed exactly-once map, the one claim behind all four of the
+ * runner's stores (runs, traces, private traces, features). The first
+ * caller of a key owns its build; every other caller, concurrent or
+ * later, is a hit and gets the owner's value. A hit that finds the
+ * build still running waits inside the "runner.memoWait" phase; a
+ * finished value, as on every warm hit, is returned untimed. Hits are
+ * counted here and mirrored under @p hitsMetric; what a build costs is
+ * its caller's to count.
+ */
+template <typename V>
+class OnceMap
+{
+  public:
+    explicit OnceMap(const char *hitsMetric)
+        : gHits_(MetricsRegistry::global().counter(hitsMetric))
+    {
+    }
+
+    /** The value of @p key; @p build() runs for its owner only. */
+    template <typename Build>
+    V
+    get(const std::string &key, Build &&build)
+    {
+        std::shared_ptr<Entry> entry;
+        bool owner = false;
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            auto [it, inserted] = entries_.try_emplace(key);
+            if (inserted)
+                it->second = std::make_shared<Entry>();
+            owner = inserted;
+            entry = it->second;
+        }
+
+        if (owner) {
+            try {
+                entry->promise.set_value(build());
+            } catch (...) {
+                // Waiters see the failure; the next caller retries.
+                {
+                    std::lock_guard<std::mutex> lock(mu_);
+                    entries_.erase(key);
+                }
+                entry->promise.set_exception(std::current_exception());
+                throw;
+            }
+        } else {
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            gHits_.inc();
+            if (entry->future.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+                Phase wait("runner.memoWait", "engine", std::string(),
+                           /*traced=*/false);
+                entry->future.wait();
+            }
+        }
+        return entry->future.get();
+    }
+
+    std::uint64_t hits() const { return hits_.load(); }
+
+  private:
+    struct Entry
+    {
+        std::promise<V> promise;
+        std::shared_future<V> future{promise.get_future()};
+    };
+
+    std::mutex mu_;
+    std::unordered_map<std::string, std::shared_ptr<Entry>> entries_;
+    std::atomic<std::uint64_t> hits_{0};
+    Counter &gHits_;
+};
+
+} // namespace
+
+/**
+ * The runner's four exactly-once stores, shared by its copies. Runs
+ * are keyed on their exact inputs; one layer down, recorded traces on
+ * the generator identity alone, so the 11 models of a tech sweep (and
+ * the characterization pass) replay one shared RecordedTrace instead
+ * of regenerating; private-level recordings on the trace identity
+ * plus the core configuration; PRISM feature rows on the trace
+ * identity plus the mask bits.
  *
  * Counters are kept per-memo (so RunnerStats stays an exact view of
  * one runner and its copies) and mirrored into the process-wide
- * registry under "runner.memo.*" / "runner.traceStore.*" so
- * structured run reports capture them; snapshot diffs recover exact
- * per-study deltas there.
+ * registry under "runner.memo.*" / "runner.traceStore.*" /
+ * "runner.privateStore.*" / "runner.featureStore.*" so structured run
+ * reports capture them; snapshot diffs recover exact per-study deltas
+ * there.
  */
 struct ExperimentRunner::Memo
 {
-    struct Entry
-    {
-        std::promise<SimStats> promise;
-        std::shared_future<SimStats> future{promise.get_future()};
-    };
-
-    struct TraceEntry
-    {
-        std::promise<std::shared_ptr<const RecordedTrace>> promise;
-        std::shared_future<std::shared_ptr<const RecordedTrace>>
-            future{promise.get_future()};
-    };
-
-    struct PrivateEntry
-    {
-        std::promise<std::shared_ptr<const PrivateTrace>> promise;
-        std::shared_future<std::shared_ptr<const PrivateTrace>>
-            future{promise.get_future()};
-    };
-
-    std::mutex mu;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> runs;
+    OnceMap<SimStats> runs{"runner.memo.hits"};
     std::atomic<std::uint64_t> simulations{0};
-    std::atomic<std::uint64_t> memoHits{0};
     std::atomic<std::uint64_t> baselineSimulations{0};
 
-    std::mutex traceMu;
-    std::unordered_map<std::string, std::shared_ptr<TraceEntry>>
-        traces;
+    OnceMap<std::shared_ptr<const RecordedTrace>> traces{
+        "runner.traceStore.hits"};
     std::atomic<std::uint64_t> traceBuilds{0};
-    std::atomic<std::uint64_t> traceHits{0};
     std::atomic<std::uint64_t> traceBytes{0};
 
-    std::mutex privMu;
-    std::unordered_map<std::string, std::shared_ptr<PrivateEntry>>
-        privates;
+    OnceMap<std::shared_ptr<const PrivateTrace>> privates{
+        "runner.privateStore.hits"};
     std::atomic<std::uint64_t> privateBuilds{0};
-    std::atomic<std::uint64_t> privateHits{0};
     std::atomic<std::uint64_t> privateBytes{0};
+
+    OnceMap<WorkloadFeatures> features{"runner.featureStore.hits"};
+    std::atomic<std::uint64_t> featureBuilds{0};
 
     std::atomic<std::uint64_t> diskHits{0};
     std::atomic<std::uint64_t> diskWrites{0};
 
     Counter &gSimulations =
         MetricsRegistry::global().counter("runner.memo.simulations");
-    Counter &gMemoHits =
-        MetricsRegistry::global().counter("runner.memo.hits");
     Counter &gBaselines = MetricsRegistry::global().counter(
         "runner.memo.baselineSimulations");
     Counter &gTraceBuilds = MetricsRegistry::global().counter(
         "runner.traceStore.builds");
-    Counter &gTraceHits =
-        MetricsRegistry::global().counter("runner.traceStore.hits");
     Gauge &gTraceBytes =
         MetricsRegistry::global().gauge("runner.traceStore.bytes");
     Counter &gPrivateBuilds = MetricsRegistry::global().counter(
         "runner.privateStore.builds");
-    Counter &gPrivateHits =
-        MetricsRegistry::global().counter("runner.privateStore.hits");
     Gauge &gPrivateBytes =
         MetricsRegistry::global().gauge("runner.privateStore.bytes");
+    Counter &gFeatureBuilds = MetricsRegistry::global().counter(
+        "runner.featureStore.builds");
     Counter &gDiskHits =
         MetricsRegistry::global().counter("runner.store.hits");
     Counter &gDiskWrites =
         MetricsRegistry::global().counter("runner.store.writes");
 
-    void
-    countDiskHit()
+    /** Count one event in @p local and its registry mirror. */
+    static void
+    count(std::atomic<std::uint64_t> &local, Counter &global)
     {
-        diskHits.fetch_add(1, std::memory_order_relaxed);
-        gDiskHits.inc();
+        local.fetch_add(1, std::memory_order_relaxed);
+        global.inc();
     }
 
-    void
-    countDiskWrite()
+    /** Add @p bytes to a resident-bytes total and its gauge. */
+    static void
+    addBytes(std::atomic<std::uint64_t> &local, Gauge &global,
+             std::uint64_t bytes)
     {
-        diskWrites.fetch_add(1, std::memory_order_relaxed);
-        gDiskWrites.inc();
+        global.set(double(
+            local.fetch_add(bytes, std::memory_order_relaxed) + bytes));
+    }
+
+    /**
+     * The persistent tier under one store's build: the (@p kind,
+     * @p key) record decoded when @p store holds a sound one, else
+     * @p build()'s value, persisted. A payload that fails to decode is
+     * a miss and gets rewritten.
+     */
+    template <typename Decode, typename Build, typename Encode>
+    auto
+    throughDisk(ResultStore *store, const char *kind,
+                const std::string &key, Decode &&decode, Build &&build,
+                Encode &&encode) -> decltype(build())
+    {
+        if (store) {
+            if (auto payload = store->load(kind, key)) {
+                try {
+                    auto value = decode(*payload);
+                    count(diskHits, gDiskHits);
+                    return value;
+                } catch (const std::exception &) {
+                    // damaged payload: rebuild and rewrite below
+                }
+            }
+        }
+        auto value = build();
+        if (store) {
+            store->put(kind, key, encode(value));
+            count(diskWrites, gDiskWrites);
+        }
+        return value;
     }
 };
 
@@ -400,14 +490,16 @@ ExperimentRunner::runnerStats() const
 {
     RunnerStats s;
     s.simulations = memo_->simulations.load();
-    s.memoHits = memo_->memoHits.load();
+    s.memoHits = memo_->runs.hits();
     s.baselineSimulations = memo_->baselineSimulations.load();
     s.traceBuilds = memo_->traceBuilds.load();
-    s.traceHits = memo_->traceHits.load();
+    s.traceHits = memo_->traces.hits();
     s.traceBytes = memo_->traceBytes.load();
     s.privateBuilds = memo_->privateBuilds.load();
-    s.privateHits = memo_->privateHits.load();
+    s.privateHits = memo_->privates.hits();
     s.privateBytes = memo_->privateBytes.load();
+    s.featureBuilds = memo_->featureBuilds.load();
+    s.featureHits = memo_->features.hits();
     s.diskHits = memo_->diskHits.load();
     s.diskWrites = memo_->diskWrites.load();
     return s;
@@ -418,57 +510,22 @@ ExperimentRunner::recordedTrace(const GeneratorConfig &gen,
                                 std::uint32_t threads) const
 {
     const std::string key = genKey(gen, threads);
-    std::shared_ptr<Memo::TraceEntry> entry;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(memo_->traceMu);
-        auto [it, inserted] = memo_->traces.try_emplace(key);
-        if (inserted) {
-            it->second = std::make_shared<Memo::TraceEntry>();
-            owner = true;
-        }
-        entry = it->second;
-    }
-
-    if (owner) {
-        std::shared_ptr<const RecordedTrace> trace;
-        if (store_) {
-            if (auto payload = store_->load("trace", key)) {
-                try {
-                    trace = RecordedTrace::deserialize(*payload);
-                    memo_->countDiskHit();
-                } catch (const std::exception &) {
-                    trace.reset(); // damaged payload: re-record below
-                }
-            }
-        }
-        if (!trace) {
-            memo_->traceBuilds.fetch_add(1,
-                                         std::memory_order_relaxed);
-            memo_->gTraceBuilds.inc();
-            {
+    return memo_->traces.get(key, [&] {
+        auto trace = memo_->throughDisk(
+            store_.get(), "trace", key, RecordedTrace::deserialize,
+            [&] {
+                Memo::count(memo_->traceBuilds, memo_->gTraceBuilds);
                 // Self-contained id: trace recording ownership races
                 // the same way runs do (see traceRunId).
                 Phase phase("runner.record", "engine",
                             "trace/" + traceHashId(key));
-                trace = RecordedTrace::record(gen, threads);
-            }
-            if (store_) {
-                store_->put("trace", key, trace->serialize());
-                memo_->countDiskWrite();
-            }
-        }
-        const std::uint64_t total =
-            memo_->traceBytes.fetch_add(trace->packedBytes(),
-                                        std::memory_order_relaxed) +
-            trace->packedBytes();
-        memo_->gTraceBytes.set(double(total));
-        entry->promise.set_value(std::move(trace));
-    } else {
-        memo_->traceHits.fetch_add(1, std::memory_order_relaxed);
-        memo_->gTraceHits.inc();
-    }
-    return entry->future.get();
+                return RecordedTrace::record(gen, threads);
+            },
+            [](const auto &t) { return t->serialize(); });
+        Memo::addBytes(memo_->traceBytes, memo_->gTraceBytes,
+                       trace->packedBytes());
+        return trace;
+    });
 }
 
 std::shared_ptr<const PrivateTrace>
@@ -476,61 +533,50 @@ ExperimentRunner::privateTrace(const GeneratorConfig &gen,
                                std::uint32_t threads) const
 {
     const std::string key = privKey(gen, threads, base_.core);
-    std::shared_ptr<Memo::PrivateEntry> entry;
-    bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(memo_->privMu);
-        auto [it, inserted] = memo_->privates.try_emplace(key);
-        if (inserted) {
-            it->second = std::make_shared<Memo::PrivateEntry>();
-            owner = true;
-        }
-        entry = it->second;
-    }
-
-    if (owner) {
-        std::shared_ptr<const PrivateTrace> priv;
-        if (store_) {
-            if (auto payload = store_->load("ptrace", key)) {
-                try {
-                    priv = PrivateTrace::deserialize(*payload);
-                    memo_->countDiskHit();
-                } catch (const std::exception &) {
-                    priv.reset(); // damaged payload: re-record below
-                }
-            }
-        }
-        if (!priv) {
-            memo_->privateBuilds.fetch_add(1,
-                                           std::memory_order_relaxed);
-            memo_->gPrivateBuilds.inc();
-            auto trace = recordedTrace(gen, threads);
-            auto cursors = trace->cursors();
-            std::vector<BatchSource *> ptrs;
-            ptrs.reserve(cursors.size());
-            for (TraceCursor &c : cursors)
-                ptrs.push_back(&c);
-            {
+    return memo_->privates.get(key, [&] {
+        auto priv = memo_->throughDisk(
+            store_.get(), "ptrace", key, PrivateTrace::deserialize,
+            [&] {
+                Memo::count(memo_->privateBuilds, memo_->gPrivateBuilds);
+                auto trace = recordedTrace(gen, threads);
+                auto cursors = trace->cursors();
+                std::vector<BatchSource *> ptrs;
+                ptrs.reserve(cursors.size());
+                for (TraceCursor &c : cursors)
+                    ptrs.push_back(&c);
                 Phase phase("runner.recordPrivate", "engine",
                             "ptrace/" + traceHashId(key));
-                priv = PrivateTrace::record(ptrs, base_.core);
-            }
-            if (store_) {
-                store_->put("ptrace", key, priv->serialize());
-                memo_->countDiskWrite();
-            }
-        }
-        const std::uint64_t total =
-            memo_->privateBytes.fetch_add(priv->packedBytes(),
-                                          std::memory_order_relaxed) +
-            priv->packedBytes();
-        memo_->gPrivateBytes.set(double(total));
-        entry->promise.set_value(std::move(priv));
-    } else {
-        memo_->privateHits.fetch_add(1, std::memory_order_relaxed);
-        memo_->gPrivateHits.inc();
-    }
-    return entry->future.get();
+                return PrivateTrace::record(ptrs, base_.core);
+            },
+            [](const auto &p) { return p->serialize(); });
+        Memo::addBytes(memo_->privateBytes, memo_->gPrivateBytes,
+                       priv->packedBytes());
+        return priv;
+    });
+}
+
+WorkloadFeatures
+ExperimentRunner::features(const BenchmarkSpec &spec) const
+{
+    // The paper's local entropy skips the 10 lowest address bits; the
+    // count is fixed, but it is part of what a feature row means.
+    constexpr std::uint32_t kMaskBits = 10;
+    const std::uint32_t threads = spec.defaultThreads;
+    std::string key = genKey(spec.gen, threads);
+    appendBytes(key, kMaskBits);
+    return memo_->features.get(key, [&] {
+        return memo_->throughDisk(
+            store_.get(), "feat", key, decodeFeatures,
+            [&] {
+                Memo::count(memo_->featureBuilds, memo_->gFeatureBuilds);
+                // Warm-up accesses fill the cache but are not the
+                // workload being characterized.
+                return characterize(*recordedTrace(spec.gen, threads),
+                                    kMaskBits,
+                                    warmupSplit(spec.gen, threads));
+            },
+            encodeFeatures);
+    });
 }
 
 SimStats
@@ -591,53 +637,28 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
 
     const std::string key =
         runKey(spec.gen, llc, threads, base_.llc.faults);
-    std::shared_ptr<Memo::Entry> entry;
     bool owner = false;
-    {
-        std::lock_guard<std::mutex> lock(memo_->mu);
-        auto [it, inserted] = memo_->runs.try_emplace(key);
-        if (inserted) {
-            it->second = std::make_shared<Memo::Entry>();
-            owner = true;
-        }
-        entry = it->second;
-    }
-
-    if (owner) {
+    SimStats stats = memo_->runs.get(key, [&] {
+        owner = true;
         // Disk tier: a run persisted by an earlier process (or an
         // earlier store-backed runner in this one) decodes to stats
         // bit-identical to a fresh simulation, so serve it without
-        // simulating. Damaged payloads fall through to re-simulate
-        // and rewrite.
-        bool served = false;
-        if (store_) {
-            if (auto payload =
-                    store_->load("run", diskBaseKey_ + key)) {
-                try {
-                    SimStats stats = decodeSimStats(*payload);
-                    memo_->countDiskHit();
-                    if (tracingEnabled())
-                        traceInstant("runner.diskHit", "engine",
-                                     traceRunId(spec, llc, threads,
-                                                base_.llc.faults) +
-                                         "/disk");
-                    entry->promise.set_value(std::move(stats));
-                    served = true;
-                } catch (const std::exception &) {
-                }
-            }
-        }
-        if (!served) {
-            memo_->simulations.fetch_add(1,
-                                         std::memory_order_relaxed);
-            memo_->gSimulations.inc();
-            if (llc.klass == NvmClass::SRAM) {
-                memo_->baselineSimulations.fetch_add(
-                    1, std::memory_order_relaxed);
-                memo_->gBaselines.inc();
-            }
-            SimStats stats;
-            {
+        // simulating.
+        return memo_->throughDisk(
+            store_.get(), "run", diskBaseKey_ + key,
+            [&](const std::string &payload) {
+                SimStats disk = decodeSimStats(payload);
+                if (tracingEnabled())
+                    traceInstant("runner.diskHit", "engine",
+                                 traceRunId(spec, llc, threads,
+                                            base_.llc.faults) +
+                                     "/disk");
+                return disk;
+            },
+            [&] {
+                Memo::count(memo_->simulations, memo_->gSimulations);
+                if (llc.klass == NvmClass::SRAM)
+                    Memo::count(memo_->baselineSimulations, memo_->gBaselines);
                 // The run scope REPLACES the caller's path (instead
                 // of extending it) so the simulation's spans read the
                 // same whichever racing caller won ownership.
@@ -649,25 +670,15 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
                 TraceScope scope(TraceContext{
                     runId, TraceContext::current().traceId});
                 Phase phase("runner.simulate", "engine", runId);
-                stats = simulateUncached(spec, llc, threads);
-            }
-            if (store_) {
-                store_->put("run", diskBaseKey_ + key,
-                            encodeSimStats(stats));
-                memo_->countDiskWrite();
-            }
-            entry->promise.set_value(std::move(stats));
-        }
-    } else {
-        memo_->memoHits.fetch_add(1, std::memory_order_relaxed);
-        memo_->gMemoHits.inc();
-        if (tracingEnabled())
-            traceInstant(
-                "runner.memoHit", "engine",
-                traceRunId(spec, llc, threads, base_.llc.faults) +
-                    "/hit");
-    }
-    return entry->future.get();
+                return simulateUncached(spec, llc, threads);
+            },
+            encodeSimStats);
+    });
+    if (!owner && tracingEnabled())
+        traceInstant("runner.memoHit", "engine",
+                     traceRunId(spec, llc, threads, base_.llc.faults) +
+                         "/hit");
+    return stats;
 }
 
 TechSweep

@@ -15,6 +15,8 @@
  * mode, cores) SRAM baseline for ten technologies simulates it once.
  * Simulations are deterministic, so memoized and fresh results are
  * bit-identical and the concurrency level never changes any output.
+ * The same exactly-once discipline serves the recorded traces, the
+ * private-level recordings and the PRISM feature rows under them.
  */
 
 #ifndef NVMCACHE_CORE_EXPERIMENT_HH
@@ -27,6 +29,7 @@
 #include <vector>
 
 #include "nvsim/published.hh"
+#include "prism/metrics.hh"
 #include "sim/system.hh"
 #include "workload/recorded_trace.hh"
 #include "workload/suite.hh"
@@ -103,11 +106,20 @@ struct RunnerStats
     std::uint64_t privateBytes = 0;
 
     /**
+     * Feature-store counters: builds counts PRISM characterizations
+     * (exactly one per distinct (generator, default thread count)),
+     * hits counts feature rows served from the store.
+     */
+    std::uint64_t featureBuilds = 0;
+    std::uint64_t featureHits = 0;
+
+    /**
      * Persistent-store counters (zero when no --store-dir is
-     * configured): diskHits counts runs and trace recordings served
-     * from the on-disk store instead of simulated/recorded — they are
-     * deliberately NOT counted in `simulations`/`traceBuilds` —
-     * diskWrites counts records persisted after a miss.
+     * configured): diskHits counts runs, recordings and feature rows
+     * served from the on-disk store instead of simulated, recorded or
+     * characterized — they are deliberately NOT counted in
+     * `simulations`/`traceBuilds`/`featureBuilds` — diskWrites counts
+     * records persisted after a miss.
      */
     std::uint64_t diskHits = 0;
     std::uint64_t diskWrites = 0;
@@ -153,6 +165,17 @@ class ExperimentRunner
                  std::uint32_t threads) const;
 
     /**
+     * The Table VI feature row of @p spec (or its exactly-once store
+     * entry): its recorded trace at spec.defaultThreads, characterized
+     * with 10 local mask bits and its warm-up accesses excluded. The
+     * row depends on the trace alone, never on the LLC model, so one
+     * characterization serves every study and request on this runner
+     * and, through the persistent store, every later process.
+     * Thread-safe.
+     */
+    WorkloadFeatures features(const BenchmarkSpec &spec) const;
+
+    /**
      * Sweep all published Table III technologies (plus the SRAM
      * baseline) for one workload and normalize. Individual runs fan
      * out over jobs() threads; results are assembled in Table III
@@ -189,10 +212,12 @@ class ExperimentRunner
     /**
      * Persistent tier between the in-memory memo and simulation,
      * captured from ResultStore::global() at construction (null =
-     * persistence off). Disk keys prefix the memo key with
+     * persistence off). Run keys on disk prefix the memo key with
      * diskBaseKey_ — the non-fault base SystemConfig identity — since
      * on disk, unlike in this runner's memo, records from differently
-     * configured processes share one namespace.
+     * configured processes share one namespace. Trace, private-trace
+     * and feature keys already hold every input their records depend
+     * on, so they take no prefix.
      */
     std::shared_ptr<ResultStore> store_;
     std::string diskBaseKey_;

@@ -180,23 +180,19 @@ runCorrelationCore(const std::vector<BenchmarkSpec> &specs,
 {
     CorrelationStudy study;
 
-    // Feature pass (PRISM): one characterization per workload, each
-    // independent of the rest. Characterizing from the runner's trace
-    // store means the simulation pass below replays the same recorded
-    // traces instead of regenerating every workload. Warm-up accesses
-    // still simulate (they fill the cache) but are excluded from the
-    // features — they are not the workload being characterized.
+    // Feature pass (PRISM): one feature row per workload, each
+    // independent of the rest, from the runner's feature store. A
+    // cold row is characterized from the runner's trace store, so the
+    // simulation pass below replays the same recorded traces instead
+    // of regenerating every workload; a warm one (memo or disk)
+    // touches no trace at all.
     {
         Phase timer("correlation.characterize", "study",
                     TraceContext::current().path);
         progressBegin("correlation characterize", specs.size());
         study.features = parallelMap(
             runner.jobs(), specs, [&](const BenchmarkSpec &spec) {
-                auto trace = runner.recordedTrace(
-                    spec.gen, spec.defaultThreads);
-                WorkloadFeatures features = characterize(
-                    *trace, 10,
-                    warmupSplit(spec.gen, spec.defaultThreads));
+                WorkloadFeatures features = runner.features(spec);
                 progressTick();
                 return features;
             });

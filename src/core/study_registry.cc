@@ -528,9 +528,11 @@ class CorrelationStudyDef : public Study
     std::vector<StudyRequest>
     shardRequests() const override
     {
-        // The characterization pass is cheap and runs off the same
-        // recorded traces the simulations warm, so sharding only the
-        // simulation grid covers everything expensive.
+        // Only the simulation grid is sharded. The front
+        // characterizes each workload itself, once: it reads the
+        // recorded traces the shards persisted, and afterwards its
+        // feature store (or the store's feat records) answers every
+        // repeat without touching a trace.
         std::vector<std::string> names = cfg_.workloads;
         if (names.empty())
             for (const BenchmarkSpec *spec :

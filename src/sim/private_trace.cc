@@ -139,10 +139,12 @@ PrivateTrace::deserialize(const std::string &payload)
         c.misses = r.getU64();
         c.writebacks = r.getU64();
         const std::uint64_t sets = r.getU64();
+        r.expectCount(sets, 4);
         c.setEvictions.reserve(std::size_t(sets));
         for (std::uint64_t i = 0; i < sets; ++i)
             c.setEvictions.push_back(r.getU32());
         const std::uint64_t lines = r.getU64();
+        r.expectCount(lines, 4);
         c.lineWrites.reserve(std::size_t(lines));
         for (std::uint64_t i = 0; i < lines; ++i)
             c.lineWrites.push_back(r.getU32());
@@ -178,6 +180,9 @@ PrivateTrace::deserialize(const std::string &payload)
 
     WireReader r(payload);
     const std::uint32_t numLanes = r.getU32();
+    // A lane is at least its count, two lengths and three portraits
+    // of five u64 fields each.
+    r.expectCount(numLanes, 8 * (3 + 3 * 5));
     std::shared_ptr<PrivateTrace> trace(new PrivateTrace());
     trace->lanes_.resize(numLanes);
     for (std::uint32_t t = 0; t < numLanes; ++t) {

@@ -9,6 +9,7 @@ namespace nvmcache {
 namespace {
 
 constexpr std::uint32_t kSimStatsVersion = 1;
+constexpr std::uint32_t kFeaturesVersion = 1;
 
 void
 putDistribution(WireWriter &w, const DistributionSnapshot &d)
@@ -74,6 +75,28 @@ getSnapshot(WireReader &r)
         snap.entries.emplace(path, std::move(value));
     }
     return snap;
+}
+
+void
+putKind(WireWriter &w, const KindMetrics &k)
+{
+    w.putF64(k.globalEntropy);
+    w.putF64(k.localEntropy);
+    w.putU64(k.unique);
+    w.putU64(k.footprint90);
+    w.putU64(k.total);
+}
+
+KindMetrics
+getKind(WireReader &r)
+{
+    KindMetrics k;
+    k.globalEntropy = r.getF64();
+    k.localEntropy = r.getF64();
+    k.unique = r.getU64();
+    k.footprint90 = r.getU64();
+    k.total = r.getU64();
+    return k;
 }
 
 } // namespace
@@ -148,6 +171,7 @@ decodeSimStats(const std::string &payload)
     s.l2Misses = r.getU64();
 
     const std::uint64_t cores = r.getU64();
+    r.expectCount(cores, 8);
     s.coreCycles.reserve(std::size_t(cores));
     for (std::uint64_t i = 0; i < cores; ++i)
         s.coreCycles.push_back(r.getF64());
@@ -158,6 +182,29 @@ decodeSimStats(const std::string &payload)
     s.detail = getSnapshot(r);
     r.expectEnd();
     return s;
+}
+
+std::string
+encodeFeatures(const WorkloadFeatures &f)
+{
+    WireWriter w;
+    w.putU32(kFeaturesVersion);
+    putKind(w, f.reads);
+    putKind(w, f.writes);
+    return w.take();
+}
+
+WorkloadFeatures
+decodeFeatures(const std::string &payload)
+{
+    WireReader r(payload);
+    if (r.getU32() != kFeaturesVersion)
+        throw std::runtime_error("unsupported features payload version");
+    WorkloadFeatures f;
+    f.reads = getKind(r);
+    f.writes = getKind(r);
+    r.expectEnd();
+    return f;
 }
 
 } // namespace nvmcache

@@ -196,8 +196,10 @@ TraceScope::~TraceScope()
         threadContext() = std::move(saved_);
 }
 
-Phase::Phase(std::string name, const char *cat, std::string id)
-    : name_(std::move(name)), cat_(cat), traced_(tracingEnabled())
+Phase::Phase(std::string name, const char *cat, std::string id,
+             bool traced)
+    : name_(std::move(name)), cat_(cat),
+      traced_(traced && tracingEnabled())
 {
     if (traced_) {
         id_ = std::move(id);

@@ -132,12 +132,16 @@ class TraceScope
  * is the span's full deterministic id (callers compose it from
  * TraceContext::current().path or use a self-contained id when the
  * emitting thread is raced over, e.g. memoized simulations); it is
- * dropped while tracing is off.
+ * dropped while tracing is off. A scope whose very occurrence depends
+ * on thread scheduling (a wait on another thread's memo build) passes
+ * @p traced false: it records the metric only, so the trace stays
+ * identical at any --jobs count.
  */
 class Phase
 {
   public:
-    Phase(std::string name, const char *cat, std::string id);
+    Phase(std::string name, const char *cat, std::string id,
+          bool traced = true);
     ~Phase();
 
     Phase(const Phase &) = delete;

@@ -136,6 +136,22 @@ class WireReader
     /** Bytes left unread (0 after a fully-consumed payload). */
     std::size_t remaining() const { return data_.size() - pos_; }
 
+    /**
+     * Throws unless @p count elements of at least @p minBytes each
+     * still fit in the unread bytes. Decoders call this before sizing
+     * anything from a count read off the payload, so a damaged count
+     * fails here instead of allocating without bound.
+     */
+    void
+    expectCount(std::uint64_t count, std::size_t minBytes) const
+    {
+        if (count > remaining() / minBytes)
+            throw std::runtime_error(
+                "wire payload count " + std::to_string(count) +
+                " exceeds its " + std::to_string(remaining()) +
+                " remaining bytes");
+    }
+
     /** Throws unless the whole payload was consumed. */
     void
     expectEnd() const
@@ -150,7 +166,7 @@ class WireReader
     void
     need(std::uint64_t n) const
     {
-        if (pos_ + n > data_.size())
+        if (n > data_.size() - pos_) // pos_ + n could wrap
             throw std::runtime_error(
                 "wire payload truncated (want " + std::to_string(n) +
                 " bytes at offset " + std::to_string(pos_) + " of " +

@@ -193,6 +193,7 @@ RecordedTrace::deserialize(const std::string &payload)
 
     WireReader r(payload);
     const std::uint32_t numTracks = r.getU32();
+    r.expectCount(numTracks, 8 * 3); // count and two lengths per track
     std::shared_ptr<RecordedTrace> trace(new RecordedTrace());
     trace->tracks_.resize(numTracks);
     for (std::uint32_t t = 0; t < numTracks; ++t) {

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/study.hh"
 
 using namespace nvmcache;
@@ -20,6 +22,17 @@ trimmed(const std::string &name, std::uint64_t accesses = 200'000)
     BenchmarkSpec spec = benchmark(name);
     spec.gen.totalAccesses = accesses;
     return spec;
+}
+
+/** True when two feature rows agree bit for bit. */
+bool
+sameBits(const WorkloadFeatures &a, const WorkloadFeatures &b)
+{
+    const std::vector<double> x = a.featureVector();
+    const std::vector<double> y = b.featureVector();
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) ==
+               0;
 }
 
 } // namespace
@@ -197,4 +210,25 @@ TEST(CorrelationStudy, FeaturesMatchDirectCharacterization)
                      direct.reads.globalEntropy);
     EXPECT_EQ(study.features.front().writes.unique,
               direct.writes.unique);
+
+    // A server workload's row excludes its warm-up (kv defaults to
+    // warm=0.25 of 2^21 ops). The server-suite row, a fresh runner's
+    // feature store and a live characterization agree bit for bit.
+    ServerSuiteConfig suite;
+    suite.tenantCounts = {1};
+    suite.readRatios = {0.95};
+    suite.skews = {0.7, 0.99};
+    const CorrelationStudy server = runServerSuite(suite, runner);
+    const BenchmarkSpec &kv =
+        benchmark(serverSuiteWorkloads(suite).front());
+    const WorkloadFeatures stored = ExperimentRunner().features(kv);
+    auto kvTraces = buildTraces(kv);
+    std::vector<TraceSource *> kvPtrs;
+    for (auto &t : kvTraces)
+        kvPtrs.push_back(t.get());
+    const WorkloadFeatures live = characterize(
+        kvPtrs, 10, warmupSplit(kv.gen, kv.defaultThreads));
+    EXPECT_TRUE(sameBits(stored, server.features.front()));
+    EXPECT_TRUE(sameBits(stored, live));
+    EXPECT_EQ(stored.reads.total + stored.writes.total, 1572864u);
 }

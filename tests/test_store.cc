@@ -10,8 +10,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <fcntl.h>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <sys/stat.h>
 #include <sys/wait.h>
@@ -19,6 +22,7 @@
 #include <vector>
 
 #include "core/experiment.hh"
+#include "core/study.hh"
 #include "core/study_registry.hh"
 #include "nvsim/published.hh"
 #include "sim/private_trace.hh"
@@ -105,6 +109,46 @@ scalarOf(const StatsSnapshot &snap, const std::string &path)
     return it == snap.entries.end() ? 0.0 : it->second.scalar;
 }
 
+/** A real private-level recording's payload. */
+std::string
+samplePrivatePayload()
+{
+    const auto trace = RecordedTrace::record(microConfig(20'000), 1);
+    auto cursors = trace->cursors();
+    std::vector<BatchSource *> srcs{&cursors[0]};
+    return PrivateTrace::record(srcs, CoreParams{})->serialize();
+}
+
+/** Little-endian u64 of @p bytes at @p off. */
+std::uint64_t
+u64At(const std::string &bytes, std::size_t off)
+{
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | std::uint8_t(bytes[off + std::size_t(i)]);
+    return v;
+}
+
+/** @p bytes with the little-endian u64 at @p off replaced. */
+std::string
+withU64At(std::string bytes, std::size_t off, std::uint64_t v)
+{
+    for (std::size_t i = 0; i < 8; ++i)
+        bytes[off + i] = char((v >> (8 * i)) & 0xFF);
+    return bytes;
+}
+
+/** True when two feature rows agree bit for bit. */
+bool
+sameBits(const WorkloadFeatures &a, const WorkloadFeatures &b)
+{
+    const std::vector<double> x = a.featureVector();
+    const std::vector<double> y = b.featureVector();
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) ==
+               0;
+}
+
 /** Engine metric delta over @p fn. */
 template <typename Fn>
 StatsSnapshot
@@ -147,6 +191,71 @@ TEST(StoreCodec, RejectsDamagedPayloads)
     EXPECT_THROW(decodeSimStats(payload.substr(0, payload.size() / 2)),
                  std::runtime_error);
     EXPECT_THROW(decodeSimStats(payload + "x"), std::runtime_error);
+
+    // A length of 2^64 - 8 must not wrap the reader's bounds check
+    // (it used to pass and rewind the reader to offset 0).
+    {
+        WireWriter w;
+        w.putU64(~std::uint64_t(0) - 7);
+        w.putU64(0);
+        const std::string wrapping = w.take();
+        WireReader r(wrapping);
+        EXPECT_THROW(r.getStr(), std::runtime_error);
+    }
+
+    // Counts read off a payload are bounded by the bytes left before
+    // anything is sized from them: none of these may allocate.
+    {
+        WireWriter w;
+        w.putU32(0xFFFFFFFFu);
+        const std::string countOnly = w.take();
+        EXPECT_THROW(PrivateTrace::deserialize(countOnly),
+                     std::runtime_error);
+        EXPECT_THROW(RecordedTrace::deserialize(countOnly),
+                     std::runtime_error);
+    }
+    {
+        // Lane 0's first portrait (after the count, the events and
+        // the writeback stream) claims 2^40 set-eviction counters.
+        const std::string priv = samplePrivatePayload();
+        const std::size_t wbLenAt = 4 + 8 + 8 + u64At(priv, 4 + 8);
+        const std::size_t portraitAt =
+            wbLenAt + 8 + u64At(priv, wbLenAt);
+        EXPECT_THROW(
+            PrivateTrace::deserialize(withU64At(
+                priv, portraitAt + 3 * 8, std::uint64_t(1) << 40)),
+            std::runtime_error);
+    }
+    {
+        // Every SimStats field up to the per-core cycles, whose count
+        // claims 2^40 cores.
+        WireWriter w;
+        w.putU32(1);
+        for (int i = 0; i < 3 + 12 + 5; ++i)
+            w.putU64(0);
+        w.putU64(std::uint64_t(1) << 40);
+        EXPECT_THROW(decodeSimStats(w.take()), std::runtime_error);
+    }
+
+    const std::string feat = encodeFeatures(WorkloadFeatures{});
+    EXPECT_THROW(decodeFeatures(""), std::runtime_error);
+    EXPECT_THROW(decodeFeatures(feat.substr(0, feat.size() - 1)),
+                 std::runtime_error);
+    EXPECT_THROW(decodeFeatures(feat + "x"), std::runtime_error);
+    std::string badVersion = feat;
+    badVersion[0] = 2;
+    EXPECT_THROW(decodeFeatures(badVersion), std::runtime_error);
+}
+
+TEST(StoreCodec, FeaturesRoundTripIsBitExact)
+{
+    const auto trace = RecordedTrace::record(microConfig(20'000), 2);
+    const WorkloadFeatures f = characterize(*trace, 10, {500, 500});
+    ASSERT_GT(f.writes.total, 0u);
+    const std::string payload = encodeFeatures(f);
+    const WorkloadFeatures back = decodeFeatures(payload);
+    EXPECT_TRUE(sameBits(back, f));
+    EXPECT_EQ(encodeFeatures(back), payload);
 }
 
 TEST(StoreCodec, RecordedTraceRoundTrips)
@@ -195,11 +304,7 @@ TEST(StoreCodec, RecordedTraceRoundTrips)
 
 TEST(StoreCodec, PrivateTraceRoundTrips)
 {
-    const auto trace = RecordedTrace::record(microConfig(20'000), 1);
-    auto cursors = trace->cursors();
-    std::vector<BatchSource *> srcs{&cursors[0]};
-    const auto priv = PrivateTrace::record(srcs, CoreParams{});
-    const std::string payload = priv->serialize();
+    const std::string payload = samplePrivatePayload();
     const auto back = PrivateTrace::deserialize(payload);
     EXPECT_EQ(back->serialize(), payload);
     EXPECT_THROW(PrivateTrace::deserialize(
@@ -208,18 +313,13 @@ TEST(StoreCodec, PrivateTraceRoundTrips)
 
     // Wire layout: u32 lanes, then per lane u64 count, u64-length-
     // prefixed event nibbles, u64-length-prefixed writeback stream.
-    const auto u64At = [&](std::size_t off) {
-        std::uint64_t v = 0;
-        for (int i = 7; i >= 0; --i)
-            v = (v << 8) | std::uint8_t(payload[off + std::size_t(i)]);
-        return v;
-    };
     const std::size_t eventsLenAt = 4 + 8;
     const std::size_t eventsAt = eventsLenAt + 8;
     const std::size_t wbLenAt =
-        eventsAt + std::size_t(u64At(eventsLenAt));
-    const std::size_t wbEnd = wbLenAt + 8 + std::size_t(u64At(wbLenAt));
-    ASSERT_GT(u64At(wbLenAt), kVarintPad); // the lane has writebacks
+        eventsAt + std::size_t(u64At(payload, eventsLenAt));
+    const std::size_t wbEnd =
+        wbLenAt + 8 + std::size_t(u64At(payload, wbLenAt));
+    ASSERT_GT(u64At(payload, wbLenAt), kVarintPad); // has writebacks
     const auto expectRejected = [](const std::string &bad,
                                    const std::string &why) {
         try {
@@ -409,15 +509,17 @@ namespace {
  * store (cold: simulates and persists) and once with a brand-new
  * runner against the same store (warm restart: replays from disk).
  * Both results must match the store-less reference byte for byte, and
- * the warm pass must not simulate anything.
+ * the warm pass must not simulate anything. Returns the store
+ * directory, deselected again but left populated.
  */
-void
+std::string
 expectWarmRestartIdentity(const StudyRequest &req,
                           const std::string &tag)
 {
     const std::string reference = runStudyRequest(req).resultJson();
 
-    ResultStore::setGlobal(freshDir(tag));
+    const std::string dir = freshDir(tag);
+    ResultStore::setGlobal(dir);
     const std::string cold = runStudyRequest(req).resultJson();
     EXPECT_EQ(cold, reference);
 
@@ -430,6 +532,27 @@ expectWarmRestartIdentity(const StudyRequest &req,
     EXPECT_EQ(scalarOf(delta, "runner.memo.simulations"), 0.0);
     EXPECT_GT(scalarOf(delta, "runner.store.hits"), 0.0);
     ResultStore::setGlobal("");
+    return dir;
+}
+
+/** Key of the one @p kind record in the store at @p dir. */
+std::string
+onlyKeyOf(const std::string &dir, const std::string &kind)
+{
+    std::string key;
+    for (const StoreScanEntry &e : ResultStore(dir).scan()) {
+        if (e.kind != kind)
+            continue;
+        EXPECT_TRUE(key.empty()) << "more than one " << kind;
+        std::ifstream in(e.path, std::ios::binary);
+        const std::string bytes{std::istreambuf_iterator<char>(in),
+                                std::istreambuf_iterator<char>()};
+        // Header: magic, u32 version, u64 kind/key/payload lengths.
+        const std::uint64_t kindLen = u64At(bytes, 8);
+        key = bytes.substr(32 + kindLen, u64At(bytes, 16));
+    }
+    EXPECT_FALSE(key.empty()) << "no " << kind << " record";
+    return key;
 }
 
 } // namespace
@@ -460,6 +583,36 @@ TEST(StoreWarmRestart, FigureStudyReplaysFromDisk)
     req.kind = "figure";
     req.params["scale"] = "0.01";
     expectWarmRestartIdentity(req, "warm_figure");
+}
+
+TEST(StoreWarmRestart, ServerSuiteReplaysFromDisk)
+{
+    StudyRequest req;
+    req.kind = "server-suite";
+    req.params = {{"tenants", "1,2"}, {"readRatios", "0.95"},
+                  {"skews", "0.99"},  {"keys", "8K"},
+                  {"ops", "60K"}};
+    const std::string dir =
+        expectWarmRestartIdentity(req, "warm_server_suite");
+
+    // A fresh explicit runner on the same store takes its feature
+    // rows and runs from disk: it simulates nothing, characterizes
+    // nothing and decodes no trace.
+    ResultStore::setGlobal(dir);
+    ServerSuiteConfig cfg;
+    cfg.tenantCounts = {1, 2};
+    cfg.readRatios = {0.95};
+    cfg.skews = {0.99};
+    cfg.keys = "8K";
+    cfg.ops = "60K";
+    ExperimentRunner runner;
+    (void)runServerSuite(cfg, runner);
+    const RunnerStats rs = runner.runnerStats();
+    EXPECT_EQ(rs.simulations, 0u);
+    EXPECT_EQ(rs.featureBuilds, 0u);
+    EXPECT_EQ(rs.traceBytes, 0u);
+    EXPECT_GT(rs.diskHits, 0u);
+    ResultStore::setGlobal("");
 }
 
 TEST(StoreWarmRestart, RunnerPoolKeysOnGenerationAndEpoch)
@@ -520,5 +673,17 @@ TEST(StoreWarmRestart, DamagedRecordsDegradeToResimulation)
         [&] { warm = runStudyRequest(req).resultJson(); });
     EXPECT_EQ(warm, reference);
     EXPECT_EQ(scalarOf(healed, "runner.memo.simulations"), 0.0);
+
+    // A feat record that passes its checksum but no longer decodes is
+    // re-characterized and rewritten, like a damaged trace.
+    const BenchmarkSpec &kv = benchmark("kv:keys=8K,ops=60K");
+    const WorkloadFeatures want = ExperimentRunner().features(kv);
+    const std::string featKey = onlyKeyOf(dir, "feat");
+    ResultStore::global()->put("feat", featKey, "damaged");
+    ExperimentRunner rebuilt;
+    EXPECT_TRUE(sameBits(rebuilt.features(kv), want));
+    EXPECT_EQ(rebuilt.runnerStats().featureBuilds, 1u);
+    EXPECT_EQ(ResultStore::global()->load("feat", featKey),
+              encodeFeatures(want));
     ResultStore::setGlobal("");
 }

@@ -3,12 +3,15 @@
  * Tests of the record-once/replay-many stores: RecordedTrace replay
  * fidelity, PrivateTrace-backed simulation bit-identity against
  * on-the-fly generation, concurrency independence, and the
- * exactly-once build discipline across whole studies.
+ * exactly-once build discipline across whole studies, including the
+ * PRISM feature store above the traces.
  */
 
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstring>
+#include <thread>
 #include <vector>
 
 #include "core/study.hh"
@@ -270,4 +273,86 @@ TEST(TraceStore, FigureAndCorrelationStudiesRecordEachTraceOnce)
     rs = runner.runnerStats();
     EXPECT_EQ(rs.traceBuilds, workloads); // no re-recording
     EXPECT_EQ(rs.privateBuilds, workloads);
+}
+
+// --- feature store ----------------------------------------------------
+
+namespace {
+
+/** True when two feature rows agree bit for bit. */
+bool
+sameBits(const WorkloadFeatures &a, const WorkloadFeatures &b)
+{
+    const std::vector<double> x = a.featureVector();
+    const std::vector<double> y = b.featureVector();
+    return x.size() == y.size() &&
+           std::memcmp(x.data(), y.data(), x.size() * sizeof(double)) ==
+               0;
+}
+
+/** A two-spec server suite small enough for a unit test. */
+ServerSuiteConfig
+smallSuite()
+{
+    ServerSuiteConfig cfg;
+    cfg.tenantCounts = {1, 2};
+    cfg.readRatios = {0.95};
+    cfg.skews = {0.99};
+    cfg.keys = "8K";
+    cfg.ops = "60K";
+    return cfg;
+}
+
+} // namespace
+
+TEST(FeatureStore, ExactlyOnceUnderConcurrency)
+{
+    // Two tenants, so the warm-up split is per thread.
+    const BenchmarkSpec &spec = benchmark("tenants:n=2,keys=8K,ops=60K");
+    ExperimentRunner runner;
+    std::vector<WorkloadFeatures> got(8);
+    {
+        std::vector<std::thread> callers;
+        for (std::size_t i = 0; i < got.size(); ++i)
+            callers.emplace_back(
+                [&, i] { got[i] = runner.features(spec); });
+        for (std::thread &t : callers)
+            t.join();
+    }
+    const RunnerStats rs = runner.runnerStats();
+    EXPECT_EQ(rs.featureBuilds, 1u);
+    EXPECT_EQ(rs.featureHits, 7u);
+
+    const WorkloadFeatures direct = characterize(
+        *runner.recordedTrace(spec.gen, spec.defaultThreads), 10,
+        warmupSplit(spec.gen, spec.defaultThreads));
+    for (const WorkloadFeatures &f : got)
+        EXPECT_TRUE(sameBits(f, direct));
+}
+
+TEST(FeatureStore, WarmStudyCharacterizesNothing)
+{
+    ExperimentRunner runner;
+    const CorrelationStudy cold = runServerSuite(smallSuite(), runner);
+    const RunnerStats c = runner.runnerStats();
+    EXPECT_EQ(c.featureBuilds, cold.workloads.size());
+    EXPECT_EQ(c.featureHits, 0u);
+
+    const CorrelationStudy warm = runServerSuite(smallSuite(), runner);
+    const RunnerStats w = runner.runnerStats();
+    EXPECT_EQ(w.featureBuilds, c.featureBuilds);
+    EXPECT_EQ(w.traceBuilds, c.traceBuilds);
+    EXPECT_EQ(w.simulations, c.simulations);
+    EXPECT_EQ(w.featureHits - c.featureHits, cold.workloads.size());
+
+    ASSERT_EQ(warm.features.size(), cold.features.size());
+    for (std::size_t i = 0; i < cold.features.size(); ++i)
+        EXPECT_TRUE(sameBits(warm.features[i], cold.features[i]));
+    ASSERT_EQ(warm.perTech.size(), cold.perTech.size());
+    for (std::size_t i = 0; i < cold.perTech.size(); ++i) {
+        EXPECT_EQ(warm.perTech[i].result.energyCorr,
+                  cold.perTech[i].result.energyCorr);
+        EXPECT_EQ(warm.perTech[i].result.speedupCorr,
+                  cold.perTech[i].result.speedupCorr);
+    }
 }

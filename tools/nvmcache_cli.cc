@@ -9,7 +9,7 @@
  *   nvmcache complete <cell>             heuristic-complete a raw cell
  *   nvmcache estimate <cell> [capacityMB] run the circuit estimator
  *   nvmcache simulate <workload> <tech> [--fixed-area] [--threads N]
- *   nvmcache characterize <workload|tracefile.nvmt>
+ *   nvmcache characterize <workload|tracefile.nvmt> [--store-dir D]
  *   nvmcache export-trace <workload> <file.nvmt> [--threads N]
  *   nvmcache workloads [--json]          list workload kinds/params
  *   nvmcache studies                     list the study registry
@@ -71,7 +71,8 @@ usage(std::FILE *out)
         "           [--scale F] [--stats-out FILE] "
         "[--stats-format json|csv] [--trace-out FILE]\n"
         "           [--progress]\n"
-        "  characterize <workload|file.nvmt>  PRISM-style features\n"
+        "  characterize <workload|file.nvmt> [--store-dir DIR]  "
+        "PRISM-style features\n"
         "  export-trace <workload> <file.nvmt> [--threads N]\n"
         "  workloads [--json]                 list workload kinds "
         "with parameter schemas\n"
@@ -347,6 +348,11 @@ cmdSimulate(ArgParser &parser)
     return 0;
 }
 
+/**
+ * Feature row of a `.nvmt` file, or of a workload spec exactly as the
+ * studies compute it: warm-up excluded, served from the runner's
+ * feature store (and the persistent store's feat record, if any).
+ */
 WorkloadFeatures
 featuresOf(const std::string &what)
 {
@@ -356,21 +362,28 @@ featuresOf(const std::string &what)
         std::vector<TraceSource *> ptrs{&trace};
         return characterize(ptrs);
     }
-    auto traces = buildTraces(benchmark(what));
-    std::vector<TraceSource *> ptrs;
-    for (auto &t : traces)
-        ptrs.push_back(t.get());
-    return characterize(ptrs);
+    return ExperimentRunner().features(benchmark(what));
 }
 
 int
-cmdCharacterize(const std::string &what)
+cmdCharacterize(ArgParser &parser)
 {
-    WorkloadFeatures f = featuresOf(what);
+    storeDirFlag(parser);
+    parser.rejectUnknown("characterize");
+    const std::vector<std::string> pos = parser.positionals();
+    if (pos.size() != 1)
+        throw std::runtime_error(
+            "'characterize' needs one workload or .nvmt file");
+
     const auto names = WorkloadFeatures::featureNames();
-    const auto values = f.featureVector();
+    const auto values = featuresOf(pos[0]).featureVector();
+    // Table VI: four entropies (bits), then six access counts.
     for (std::size_t i = 0; i < names.size(); ++i)
-        std::printf("  %-10s %.6g\n", names[i].c_str(), values[i]);
+        if (i < 4)
+            std::printf("  %-10s %.6g\n", names[i].c_str(), values[i]);
+        else
+            std::printf("  %-10s %llu\n", names[i].c_str(),
+                        (unsigned long long)values[i]);
     return 0;
 }
 
@@ -765,10 +778,8 @@ run(const std::string &cmd, const std::vector<std::string> &args)
     }
     if (cmd == "simulate")
         return cmdSimulate(parser);
-    if (cmd == "characterize") {
-        requireArgs(cmd, args, 1);
-        return cmdCharacterize(args[0]);
-    }
+    if (cmd == "characterize")
+        return cmdCharacterize(parser);
     if (cmd == "export-trace")
         return cmdExportTrace(parser);
     if (cmd == "workloads")
