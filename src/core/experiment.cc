@@ -592,8 +592,8 @@ ExperimentRunner::simulateUncached(const BenchmarkSpec &spec,
     // per (generator, threads) for the runner's lifetime, and every
     // model replays the identical packed sequence. The private-level
     // recording rides one layer above it, so each model simulates
-    // only the shared LLC and DRAM — through the batch kernel when
-    // single-threaded (bit-identical either way).
+    // only the shared LLC and DRAM, through the batch kernel at any
+    // thread count (bit-identical to a live run).
     auto trace = recordedTrace(spec.gen, threads);
     auto priv = privateTrace(spec.gen, threads);
     auto cursors = trace->cursors();

@@ -59,13 +59,9 @@ PrivateTrace::record(const std::vector<BatchSource *> &sources,
             for (std::size_t i = 0; i < n; ++i) {
                 PrivateAccessOutcome out =
                     core.accessPrivate(batch[i]);
-                const std::uint8_t outcome =
-                    out.satisfied ? (out.latencyCycles
-                                         ? PrivateEvent::kL2Hit
-                                         : PrivateEvent::kL1Hit)
-                                  : PrivateEvent::kMiss;
-                const std::uint8_t nib = std::uint8_t(
-                    outcome | (out.writebacks.count << 2));
+                const std::uint8_t nib =
+                    std::uint8_t(PrivateEvent::of(out) |
+                                 (out.writebacks.count << 2));
                 if ((lane.count & 1) == 0)
                     lane.events.push_back(0);
                 lane.events.back() |=
@@ -153,7 +149,7 @@ PrivateTrace::deserialize(const std::string &payload)
 
     // PrivateCursor decodes without bounds checks, so a lane must
     // hold exactly what record() writes: nibbles with a valid outcome
-    // and at most PrivateEvent::wb.size() writebacks, and a writeback
+    // and at most WritebackSet::addr.size() writebacks, and a writeback
     // stream of exactly those writebacks' varints followed by
     // kVarintPad zero bytes (getVarintFast loads 8-byte windows).
     const auto checkLane = [](const Lane &lane, std::uint32_t t) {
@@ -167,7 +163,7 @@ PrivateTrace::deserialize(const std::string &payload)
             const std::uint8_t nib =
                 (lane.events[i >> 1] >> ((i & 1) * 4)) & 0xF;
             const std::uint8_t wbCount = nib >> 2;
-            if ((nib & 3) == 3 || wbCount > PrivateEvent{}.wb.size())
+            if ((nib & 3) == 3 || wbCount > WritebackSet{}.addr.size())
                 fail(i, "invalid outcome nibble");
             for (std::uint8_t w = 0; w < wbCount; ++w)
                 if (!wb.next())

@@ -13,8 +13,8 @@
  * only part that differs.
  *
  * A PrivateTrace walks each thread's trace through a real PrivateCore
- * exactly once and freezes, per access, everything System::step needs
- * from the private levels:
+ * exactly once and freezes, per access, everything the shared levels
+ * need from the private ones:
  *
  *  - the outcome (L1 hit / L2 hit / miss that reaches the LLC),
  *    packed 2 bits, plus the dirty-L2-victim count, 2 bits;
@@ -23,11 +23,13 @@
  *    (hits/misses/writebacks and the per-set / per-line vectors), so
  *    a replay run exports bit-identical "sim.core.*" stats.
  *
- * Replaying through PrivateCursor::next is bit-exact: System applies
- * the same cycle arithmetic in the same order with the same operands,
- * so SimStats — including every floating-point field — matches a live
- * simulation of the same traces. The recording is immutable after
- * record() and safely shared across concurrent simulations.
+ * Replaying through PrivateCursor::fillBlock is bit-exact: the replay
+ * kernel (System::runReplay) hands each recorded outcome to the same
+ * shared-level step as the live System::run, with the same cycle
+ * arithmetic in the same order, so SimStats — including every
+ * floating-point field — matches a live simulation of the same
+ * traces. The recording is immutable after record() and safely
+ * shared across concurrent simulations.
  */
 
 #ifndef NVMCACHE_SIM_PRIVATE_TRACE_HH
@@ -66,17 +68,22 @@ struct PrivateBlock
     std::uint32_t wbTotal = 0; ///< entries of wbAddr used
 };
 
-/** One access's recorded private-level outcome. */
+/** Outcome codes of one access's private-level walk. */
 struct PrivateEvent
 {
-    /** Values of outcome (order matters only for packing). */
+    /** Code values (order matters only for packing). */
     static constexpr std::uint8_t kL1Hit = 0;
     static constexpr std::uint8_t kL2Hit = 1;
     static constexpr std::uint8_t kMiss = 2; ///< demand reaches LLC
 
-    std::uint8_t outcome = kL1Hit;
-    std::uint8_t wbCount = 0;              ///< dirty L2 victims
-    std::array<std::uint64_t, 2> wb{};     ///< ... their addresses
+    /** The code of a live walk (PrivateCore::accessPrivate). */
+    static std::uint8_t
+    of(const PrivateAccessOutcome &out)
+    {
+        if (!out.satisfied)
+            return kMiss;
+        return out.latencyCycles ? kL2Hit : kL1Hit;
+    }
 };
 
 /**
@@ -176,27 +183,9 @@ class PrivateCursor
   public:
     PrivateCursor() = default;
 
-    /** Decode the next access's outcome; one call per trace access. */
-    PrivateEvent
-    next()
-    {
-        PrivateEvent ev;
-        const std::uint8_t nib =
-            (lane_->events[idx_ >> 1] >> ((idx_ & 1) * 4)) & 0xF;
-        ++idx_;
-        ev.outcome = nib & 3;
-        ev.wbCount = nib >> 2;
-        for (std::uint8_t i = 0; i < ev.wbCount; ++i) {
-            wbAddr_ += std::uint64_t(unzigzag(getVarintFast(wbPos_)));
-            ev.wb[i] = wbAddr_;
-        }
-        return ev;
-    }
-
     /**
-     * Decode exactly @p n events (the caller's paired TraceBlock
-     * count; never past end of lane) into @p out's SoA arrays. Same
-     * position and values as n calls to next().
+     * Decode the next @p n events (the caller's paired TraceBlock
+     * count; never past end of lane) into @p out's SoA arrays.
      */
     std::uint32_t
     fillBlock(std::uint32_t n, PrivateBlock &out)

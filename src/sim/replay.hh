@@ -11,7 +11,7 @@
  * virtual dispatch and no per-access varint pointer chasing. The one
  * virtual call per block is amortized over kCapacity accesses.
  *
- * The interface lives in the sim layer so the kernel (sim/replay.cc)
+ * The interface lives in the sim layer so the kernel (sim/system.cc)
  * stays below the workload layer; workload/recorded_trace.hh's
  * TraceCursor is the canonical producer.
  */
@@ -40,8 +40,8 @@ struct TraceBlock
 
 /**
  * BatchSource that can additionally decode whole SoA blocks. The
- * per-access fill() view stays available for the legacy scheduler
- * (multi-source runs) and generic consumers.
+ * per-access fill() view stays available for generic consumers such
+ * as PrivateTrace::record.
  */
 class ReplaySource : public BatchSource
 {

@@ -1,35 +1,147 @@
+/**
+ * @file
+ * The system's two engines and the shared-level step they share.
+ *
+ * System::run is the live reference: it walks every reference through
+ * the real private L1/L2 caches and interleaves cores with an
+ * index-min heap. System::runReplay is the engine of every recorded
+ * simulation: each source is one lane that expands its packed trace
+ * and its private-level recording into SoA blocks (no per-access
+ * virtual dispatch or varint pointer chasing) and prefetches the LLC
+ * tag sets of its demand addresses and recorded L2 victims ahead of
+ * their walks. Both engines hand each reference's LLC/DRAM half to
+ * System::sharedLevels, in the same core order, so their SimStats are
+ * bit-identical.
+ */
+
 #include "sim/system.hh"
 
 #include <algorithm>
 #include <array>
+#include <limits>
 
 #include "util/logging.hh"
+#include "util/trace_events.hh"
 
 namespace nvmcache {
 
 namespace {
 
-/** References a core prefetches from its source at a time. */
+/** References a live core pulls from its source at a time. */
 constexpr std::size_t kBatch = 128;
 
-/** BatchSource view of a virtual per-access TraceSource. */
-class SourceBatcher final : public BatchSource
+/**
+ * Tag-prefetch lookaheads: demand addresses far enough ahead to cover
+ * the full simulation cost of the accesses in between (shorter ones
+ * leave part of the tag-walk host-cache miss exposed), recorded L2
+ * victims a few writebacks ahead.
+ */
+constexpr std::size_t kDemandPrefetch = 24;
+constexpr std::size_t kWbPrefetch = 6;
+
+/**
+ * The order both engines step cores in. Min-local-time scheduling
+ * keeps shared-resource timestamps approximately globally ordered:
+ * the running cores sit in a binary min-heap keyed on (local cycle,
+ * core index), the same pick order as a linear scan taking the first
+ * strict minimum, at O(log cores) per step. A core's key only grows,
+ * so after each step the root is re-sunk in place.
+ */
+class CoreOrder
 {
   public:
-    explicit SourceBatcher(TraceSource *src) : src_(src) {}
-
-    std::size_t
-    fill(std::span<MemAccess> out) override
+    struct Key
     {
-        std::size_t n = 0;
-        while (n < out.size() && src_->next(out[n]))
-            ++n;
-        return n;
+        double cycle;
+        std::uint32_t core;
+    };
+
+    static bool
+    before(const Key &a, const Key &b)
+    {
+        return a.cycle < b.cycle ||
+               (a.cycle == b.cycle && a.core < b.core);
+    }
+
+    explicit CoreOrder(std::size_t cores) : heap_(cores)
+    {
+        // Equal keys in index order: a valid heap.
+        for (std::uint32_t i = 0; i < cores; ++i)
+            heap_[i] = {0.0, i};
+    }
+
+    bool empty() const { return heap_.empty(); }
+
+    /** The core to step next. */
+    std::uint32_t top() const { return heap_[0].core; }
+
+    /**
+     * The least key among the other cores (a child of the root): the
+     * top core is picked again while its key stays before this one.
+     */
+    Key
+    runnerUp() const
+    {
+        Key k{std::numeric_limits<double>::infinity(),
+              ~std::uint32_t(0)};
+        for (std::size_t c = 1; c < 3 && c < heap_.size(); ++c)
+            if (before(heap_[c], k))
+                k = heap_[c];
+        return k;
+    }
+
+    /** The top core stepped to @p cycle. */
+    void
+    advanceTop(double cycle)
+    {
+        heap_[0].cycle = cycle;
+        siftDown();
+    }
+
+    /** The top core's trace is drained. */
+    void
+    retireTop()
+    {
+        heap_[0] = heap_.back();
+        heap_.pop_back();
+        if (!heap_.empty())
+            siftDown();
     }
 
   private:
-    TraceSource *src_;
+    void
+    siftDown()
+    {
+        std::size_t i = 0;
+        const std::size_t n = heap_.size();
+        const Key e = heap_[0];
+        while (true) {
+            std::size_t child = 2 * i + 1;
+            if (child >= n)
+                break;
+            if (child + 1 < n && before(heap_[child + 1], heap_[child]))
+                ++child;
+            if (!before(heap_[child], e))
+                break;
+            heap_[i] = heap_[child];
+            i = child;
+        }
+        heap_[i] = e;
+    }
+
+    std::vector<Key> heap_;
 };
+
+void
+checkThreads(const char *who, std::size_t threads, std::size_t cores)
+{
+    if (threads == 0)
+        fatal(who, ": no threads");
+    // Thread i runs on core i.
+    if (threads > cores)
+        fatal(who, ": more threads (", threads, ") than cores (", cores,
+              ")");
+}
 
 } // namespace
 
@@ -47,225 +159,193 @@ System::System(const SystemConfig &cfg, const LlcModel &llcModel)
     coreLlc_.resize(cfg_.numCores);
 }
 
-void
-System::step(std::uint32_t coreIdx, const MemAccess &access)
+inline void
+System::sharedLevels(std::uint32_t coreIdx, AccessKind kind,
+                     std::uint64_t addr, std::uint8_t outcome,
+                     const std::uint64_t *wb, std::uint8_t nwb)
 {
+    if (outcome == PrivateEvent::kL1Hit && nwb == 0)
+        return; // nothing reaches the LLC
     PrivateCore &core = cores_[coreIdx];
-    PrivateAccessOutcome out = core.accessPrivate(access);
+    CoreLlcCounters &share = coreLlc_[coreIdx];
     const std::uint64_t now = std::uint64_t(core.cycle());
-
-    const bool l1_hit = out.satisfied && out.latencyCycles == 0;
-    if (!l1_hit)
+    if (outcome != PrivateEvent::kL1Hit)
         ++l1Misses_;
 
     // Dirty L2 victims stream down to the LLC regardless of whether
     // the demand access was satisfied privately.
-    coreLlc_[coreIdx].writebacks += out.writebacks.count;
-    for (std::uint32_t i = 0; i < out.writebacks.count; ++i) {
-        LlcWritebackOutcome wb =
-            llc_->writeback(out.writebacks.addr[i], now);
-        if (wb.stallCycles)
-            core.applyRawStall(wb.stallCycles);
-        if (wb.forwardedToDram)
-            dram_->write(out.writebacks.addr[i], now);
-        if (wb.victimDirty)
-            dram_->write(wb.victimAddr, now);
+    share.writebacks += nwb;
+    for (std::uint8_t i = 0; i < nwb; ++i) {
+        const LlcWritebackOutcome o = llc_->writeback(wb[i], now);
+        if (o.stallCycles)
+            core.applyRawStall(o.stallCycles);
+        if (o.forwardedToDram)
+            dram_->write(wb[i], now);
+        if (o.victimDirty)
+            dram_->write(o.victimAddr, now);
     }
 
-    if (out.satisfied) {
-        if (out.latencyCycles) // L2 hit
-            core.applyStall(access.kind, out.latencyCycles);
+    if (outcome == PrivateEvent::kL1Hit)
+        return;
+    if (outcome == PrivateEvent::kL2Hit) {
+        core.applyStall(kind, cfg_.core.l2Cycles);
         return;
     }
 
     ++l2Misses_;
-
-    // Demand read reaches the shared LLC.
-    std::uint64_t latency = out.latencyCycles;
-    LlcReadOutcome rd = llc_->demandRead(access.addr, now + latency);
-    ++coreLlc_[coreIdx].demandReads;
-    ++(rd.hit ? coreLlc_[coreIdx].demandHits
-              : coreLlc_[coreIdx].demandMisses);
+    std::uint64_t latency = cfg_.core.l2Cycles;
+    const LlcReadOutcome rd = llc_->demandRead(addr, now + latency);
+    ++share.demandReads;
+    ++(rd.hit ? share.demandHits : share.demandMisses);
     latency += rd.latencyCycles;
     if (!rd.hit) {
-        latency += dram_->read(access.addr, now + latency);
+        latency += dram_->read(addr, now + latency);
         if (rd.victimDirty)
             dram_->write(rd.victimAddr, now + latency);
     }
-    core.applyStall(access.kind, latency);
+    core.applyStall(kind, latency);
 }
 
 SimStats
 System::run(const std::vector<TraceSource *> &threads)
 {
-    if (threads.empty())
-        fatal("System::run: no threads");
-    std::vector<SourceBatcher> batchers;
-    batchers.reserve(threads.size());
-    for (TraceSource *t : threads)
-        batchers.emplace_back(t);
-    std::vector<BatchSource *> sources;
-    sources.reserve(threads.size());
-    for (SourceBatcher &b : batchers)
-        sources.push_back(&b);
-    return run(sources);
-}
+    checkThreads("System::run", threads.size(), cores_.size());
 
-SimStats
-System::run(const std::vector<BatchSource *> &sources)
-{
-    return run(sources, nullptr);
-}
-
-SimStats
-System::run(const std::vector<BatchSource *> &sources,
-            const PrivateTrace *privateTrace)
-{
-    if (sources.empty())
-        fatal("System::run: no threads");
-    if (sources.size() > cores_.size())
-        fatal("System::run: more threads (", sources.size(),
-              ") than cores (", cores_.size(), ")");
-    if (privateTrace && privateTrace->threads() != sources.size())
-        fatal("System::run: private trace has ",
-              privateTrace->threads(), " lanes for ", sources.size(),
-              " sources");
-
-    std::vector<PrivateCursor> privateCursors;
-    if (privateTrace) {
-        privateCursors.reserve(sources.size());
-        for (std::uint32_t i = 0; i < sources.size(); ++i)
-            privateCursors.push_back(privateTrace->cursor(i));
-    }
-
-    // sources[i] runs on core i (round-robin is the identity while
-    // threads <= cores, which the check above guarantees).
     struct Lane
     {
         std::array<MemAccess, kBatch> buf;
         std::uint32_t pos = 0;
         std::uint32_t count = 0;
     };
-    std::vector<Lane> lanes(sources.size());
+    std::vector<Lane> lanes(threads.size());
 
-    // Min-local-time scheduling keeps shared-resource timestamps
-    // approximately globally ordered. Active cores live in a binary
-    // min-heap keyed on (local cycle, core index) — the same pick
-    // order as a linear scan taking the first strict minimum, at
-    // O(log cores) per step. A core's key only grows, so after each
-    // step the root is re-sunk in place.
-    struct Entry
-    {
-        double cycle;
-        std::uint32_t core;
-    };
-    std::vector<Entry> heap(sources.size());
-    for (std::uint32_t i = 0; i < sources.size(); ++i)
-        heap[i] = {0.0, i}; // equal keys in index order: a valid heap
-
-    auto before = [](const Entry &a, const Entry &b) {
-        return a.cycle < b.cycle ||
-               (a.cycle == b.cycle && a.core < b.core);
-    };
-    auto siftDown = [&] {
-        std::size_t i = 0;
-        const std::size_t n = heap.size();
-        Entry e = heap[0];
-        while (true) {
-            std::size_t child = 2 * i + 1;
-            if (child >= n)
-                break;
-            if (child + 1 < n && before(heap[child + 1], heap[child]))
-                ++child;
-            if (!before(heap[child], e))
-                break;
-            heap[i] = heap[child];
-            i = child;
-        }
-        heap[i] = e;
-    };
-
-    while (!heap.empty()) {
-        const std::uint32_t i = heap[0].core;
+    CoreOrder order(threads.size());
+    while (!order.empty()) {
+        const std::uint32_t i = order.top();
         Lane &lane = lanes[i];
         if (lane.pos == lane.count) {
-            lane.count = std::uint32_t(
-                sources[i]->fill({lane.buf.data(), kBatch}));
-            lane.pos = 0;
+            lane.pos = lane.count = 0;
+            while (lane.count < kBatch &&
+                   threads[i]->next(lane.buf[lane.count]))
+                ++lane.count;
             if (lane.count == 0) { // trace drained: retire the core
-                heap[0] = heap.back();
-                heap.pop_back();
-                if (!heap.empty())
-                    siftDown();
+                order.retireTop();
                 continue;
             }
         }
-        // The lane's future is already decoded, so pull the LLC tag
-        // set of a near-future access toward the host caches while
-        // this access simulates (hides the host-memory latency that
-        // otherwise dominates large-cache tag walks). The distance
-        // covers the full simulation cost of the accesses in between;
-        // shorter lookaheads leave part of the tag-walk miss exposed.
-        const std::uint32_t ahead = lane.pos + 24;
+        const std::size_t ahead = lane.pos + kDemandPrefetch;
         if (ahead < lane.count)
             llc_->prefetchTag(lane.buf[ahead].addr);
-        if (privateTrace)
-            replayStep(i, lane.buf[lane.pos++], privateCursors[i]);
-        else
-            step(i, lane.buf[lane.pos++]);
-        heap[0].cycle = cores_[i].cycle();
-        siftDown();
+        const MemAccess &access = lane.buf[lane.pos++];
+        const PrivateAccessOutcome out = cores_[i].accessPrivate(access);
+        sharedLevels(i, access.kind, access.addr, PrivateEvent::of(out),
+                     out.writebacks.addr.data(),
+                     std::uint8_t(out.writebacks.count));
+        order.advanceTop(cores_[i].cycle());
     }
 
-    return collectStats(sources.size(), privateTrace);
+    return collectStats(threads.size(), nullptr);
 }
 
-void
-System::replayStep(std::uint32_t coreIdx, const MemAccess &access,
-                   PrivateCursor &cursor)
+SimStats
+System::runReplay(const std::vector<ReplaySource *> &sources,
+                  const PrivateTrace *privateTrace)
 {
-    // Mirrors step() operation for operation; only the private-level
-    // outcome comes from the recording instead of the L1/L2 walk.
-    PrivateCore &core = cores_[coreIdx];
-    core.advanceIssue(access.nonMemInstrs);
-    const PrivateEvent ev = cursor.next();
-    const std::uint64_t now = std::uint64_t(core.cycle());
+    checkThreads("System::runReplay", sources.size(), cores_.size());
+    const std::uint32_t recorded =
+        privateTrace ? privateTrace->threads() : 0;
+    if (recorded != sources.size())
+        fatal("System::runReplay: private trace has ", recorded,
+              " lanes for ", sources.size(), " sources");
 
-    if (ev.outcome != PrivateEvent::kL1Hit)
-        ++l1Misses_;
+    Phase phase("replay.run", "engine",
+                TraceContext::current().path + "/replay");
 
-    coreLlc_[coreIdx].writebacks += ev.wbCount;
-    for (std::uint8_t i = 0; i < ev.wbCount; ++i) {
-        LlcWritebackOutcome wb = llc_->writeback(ev.wb[i], now);
-        if (wb.stallCycles)
-            core.applyRawStall(wb.stallCycles);
-        if (wb.forwardedToDram)
-            dram_->write(ev.wb[i], now);
-        if (wb.victimDirty)
-            dram_->write(wb.victimAddr, now);
+    // Lane c replays sources[c] on core c; i and w are its positions
+    // in the decoded block's accesses and writeback addresses.
+    struct Lane
+    {
+        TraceBlock tb;
+        PrivateBlock pb;
+        PrivateCursor cursor;
+        std::uint32_t i = 0;
+        std::uint32_t w = 0;
+    };
+    std::vector<Lane> lanes(sources.size());
+    for (std::uint32_t c = 0; c < sources.size(); ++c)
+        lanes[c].cursor = privateTrace->cursor(c);
+    std::uint64_t totalAccesses = 0;
+    std::uint64_t blocks = 0;
+    // Decode lane c's next block; false once its trace is drained.
+    const auto refill = [&](std::uint32_t c) {
+        Lane &lane = lanes[c];
+        const std::uint32_t n = sources[c]->fillBlock(lane.tb);
+        if (n == 0)
+            return false;
+        lane.cursor.fillBlock(n, lane.pb);
+        ++blocks;
+        totalAccesses += n;
+        return true;
+    };
+
+    CoreOrder order(sources.size());
+    while (!order.empty()) {
+        // The top lane keeps stepping while it stays strictly ahead
+        // of the best other lane, because the heap would pick it
+        // again; a single lane never re-picks.
+        const std::uint32_t c = order.top();
+        const CoreOrder::Key limit = order.runnerUp();
+        Lane &lane = lanes[c];
+        PrivateCore &core = cores_[c];
+        std::uint32_t i = lane.i;
+        std::uint32_t w = lane.w;
+        bool drained = false;
+        while (true) {
+            if (i == lane.tb.count) {
+                if (!refill(c)) {
+                    drained = true;
+                    break;
+                }
+                i = w = 0;
+            }
+            if (i + kDemandPrefetch < lane.tb.count)
+                llc_->prefetchTag(lane.tb.addr[i + kDemandPrefetch]);
+            // The recorded L2-victim stream is known too; pull its tag
+            // sets ahead of the writeback walks (the live engine
+            // can't: it learns victims one access at a time).
+            if (w + kWbPrefetch < lane.pb.wbTotal)
+                llc_->prefetchTag(lane.pb.wbAddr[w + kWbPrefetch]);
+            core.advanceIssue(lane.tb.gap[i]);
+            const std::uint8_t nwb = lane.pb.wbCount[i];
+            sharedLevels(c, AccessKind(lane.tb.kind[i]), lane.tb.addr[i],
+                         lane.pb.outcome[i], lane.pb.wbAddr.data() + w,
+                         nwb);
+            ++i;
+            w += nwb;
+            if (!CoreOrder::before({core.cycle(), c}, limit))
+                break;
+        }
+        lane.i = i;
+        lane.w = w;
+        if (drained)
+            order.retireTop();
+        else
+            order.advanceTop(core.cycle());
     }
 
-    if (ev.outcome == PrivateEvent::kL1Hit)
-        return;
-    if (ev.outcome == PrivateEvent::kL2Hit) {
-        core.applyStall(access.kind, cfg_.core.l2Cycles);
-        return;
-    }
+    MetricsRegistry &greg = MetricsRegistry::global();
+    greg.counter("sim.replay.runs").inc(1);
+    const double seconds = phase.elapsedSeconds();
+    greg.counter("sim.replay.accesses").inc(totalAccesses);
+    if (seconds > 0.0)
+        greg.gauge("sim.replay.accessesPerSecond")
+            .set(double(totalAccesses) / seconds);
+    if (blocks > 0)
+        greg.gauge("sim.replay.blockFillRatio")
+            .set(double(totalAccesses) /
+                 double(blocks * TraceBlock::kCapacity));
 
-    ++l2Misses_;
-
-    std::uint64_t latency = cfg_.core.l2Cycles;
-    LlcReadOutcome rd = llc_->demandRead(access.addr, now + latency);
-    ++coreLlc_[coreIdx].demandReads;
-    ++(rd.hit ? coreLlc_[coreIdx].demandHits
-              : coreLlc_[coreIdx].demandMisses);
-    latency += rd.latencyCycles;
-    if (!rd.hit) {
-        latency += dram_->read(access.addr, now + latency);
-        if (rd.victimDirty)
-            dram_->write(rd.victimAddr, now + latency);
-    }
-    core.applyStall(access.kind, latency);
+    return collectStats(sources.size(), privateTrace);
 }
 
 SimStats
@@ -330,17 +410,10 @@ System::collectStats(std::size_t numThreads,
     reg.gauge("sim.mpki").set(stats.llcMpki());
     stats.detail = reg.snapshot();
 
-    // Per-tenant LLC traffic split (tenants workload family). The
-    // batch kernel path never runs step()/replayStep(), but it is
-    // single-source only — there core 0 carries the entire LlcStats,
-    // so deriving that case keeps the kernel and the per-access
-    // scheduler byte-identical.
+    // Per-tenant LLC traffic split (tenants workload family).
     if (cfg_.perCoreLlcStats) {
         for (std::size_t i = 0; i < numThreads; ++i) {
-            CoreLlcCounters c = coreLlc_[i];
-            if (numThreads == 1)
-                c = {stats.llc.demandReads, stats.llc.demandHits,
-                     stats.llc.demandMisses, stats.llc.writebacksIn};
+            const CoreLlcCounters &c = coreLlc_[i];
             MetricsRegistry treg;
             treg.counter("llc.demandReads").inc(c.demandReads);
             treg.counter("llc.demandHits").inc(c.demandHits);

@@ -101,48 +101,35 @@ class System
     System(const SystemConfig &cfg, const LlcModel &llcModel);
 
     /**
-     * Run the per-thread traces to completion. Threads are assigned
-     * to cores round-robin; the usual case is one thread per core
+     * Live run: simulate the per-thread traces to completion, walking
+     * the real private L1/L2 caches one access at a time. Thread i
+     * runs on core i; the usual case is one thread per core
      * (multi-threaded suites) or a single thread (cpu2006/2017).
      *
      * Cores are interleaved in min-local-time order so shared-LLC and
-     * DRAM contention is observed in approximately global time. Each
-     * core prefetches its thread's references in batches; per-thread
-     * sources must therefore be independent of each other (true of
-     * every TraceSource in the tree), since a core may pull ahead of
-     * the globally-interleaved consumption order.
+     * DRAM contention is observed in approximately global time: an
+     * index-min heap picks the core with the least (local cycle,
+     * core index), O(log cores) per step. Each core prefetches its
+     * thread's references in batches; per-thread sources must
+     * therefore be independent of each other (true of every
+     * TraceSource in the tree), since a core may pull ahead of the
+     * globally-interleaved consumption order.
+     *
+     * This is the reference runReplay is tested against.
      */
     SimStats run(const std::vector<TraceSource *> &threads);
 
     /**
-     * Same simulation over batched sources (e.g. RecordedTrace
-     * cursors). Produces bit-identical SimStats to the TraceSource
-     * overload for the same access sequences: both feed one scheduler
-     * that picks the min-local-time core (ties to the lowest index)
-     * via an index-min heap, O(log cores) per step.
-     */
-    SimStats run(const std::vector<BatchSource *> &sources);
-
-    /**
-     * Replay run: @p privateTrace carries the recorded private-level
-     * outcomes of exactly these sources under this system's
-     * CoreParams, so the L1/L2 walks are skipped and only the shared
-     * LLC and DRAM are simulated. Bit-identical SimStats to the other
-     * overloads (see private_trace.hh); pass nullptr for a live run.
-     */
-    SimStats run(const std::vector<BatchSource *> &sources,
-                 const PrivateTrace *privateTrace);
-
-    /**
-     * Replay run that picks its engine from the input's shape. A
-     * single source with a private-level recording (the tech-sweep
-     * hot path) runs through the vectorized batch kernel
-     * (sim/replay.cc): decode SoA blocks, then drive the LLC and
-     * DRAM straight off them on this thread. Everything else —
-     * multi-source runs and runs without @p privateTrace — goes to
-     * the per-access scheduler, run(sources, privateTrace), counted
-     * in the global "sim.replay.runs.fallback" metric. Both engines
-     * produce bit-identical SimStats.
+     * Replay run, the engine of every recorded simulation:
+     * @p privateTrace carries the recorded private-level outcomes of
+     * exactly these sources under this system's CoreParams, so the
+     * L1/L2 walks are skipped and only the shared LLC and DRAM are
+     * simulated. Each source is one lane that decodes SoA blocks
+     * (TraceBlock plus PrivateBlock); lanes step in run()'s order,
+     * least (local cycle, core index) first, so SimStats are
+     * bit-identical to run() on the same access sequences. fatal()
+     * when @p privateTrace is null or its lane count differs from
+     * the number of sources.
      */
     SimStats runReplay(const std::vector<ReplaySource *> &sources,
                        const PrivateTrace *privateTrace);
@@ -160,9 +147,7 @@ class System
     /**
      * Per-core share of the shared-LLC traffic (demand reads split
      * into hits/misses, plus L2 writebacks reaching the LLC), counted
-     * in step()/replayStep(). The batch kernel bypasses those, but it
-     * only runs single-source — where core 0's share is the whole
-     * LlcStats — so collectStats derives that case exactly.
+     * in sharedLevels().
      */
     struct CoreLlcCounters
     {
@@ -173,16 +158,17 @@ class System
     };
     std::vector<CoreLlcCounters> coreLlc_;
 
-    /** Process one reference on @p coreIdx. */
-    void step(std::uint32_t coreIdx, const MemAccess &access);
-
     /**
-     * step() with the private-level outcome replayed from @p cursor
-     * instead of simulated (same shared-level effects, same cycle
-     * arithmetic, in the same order).
+     * The LLC/DRAM half of one reference on @p coreIdx, after its
+     * issue time was charged: the @p nwb dirty L2 victims at @p wb
+     * go to the LLC as writebacks, then an L2 hit stalls for the L2
+     * latency and a private miss (@p outcome, a PrivateEvent code)
+     * reads @p addr from the LLC and, on a miss there, DRAM. The one
+     * copy of this accounting: run() and runReplay() both call it.
      */
-    void replayStep(std::uint32_t coreIdx, const MemAccess &access,
-                    PrivateCursor &cursor);
+    void sharedLevels(std::uint32_t coreIdx, AccessKind kind,
+                      std::uint64_t addr, std::uint8_t outcome,
+                      const std::uint64_t *wb, std::uint8_t nwb);
 
     /** Gather SimStats after all cores drained their sources. */
     SimStats collectStats(std::size_t numThreads,

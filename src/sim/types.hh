@@ -54,10 +54,11 @@ class TraceSource
 
 /**
  * Batched per-thread trace source: fills a caller-provided span
- * instead of paying a virtual call per access. Consumers (System's
- * run loop, the PRISM characterizer) drain local batches, so the
- * virtual dispatch is amortized over a whole batch; producers with a
- * non-virtual fill (TraceCursor) decode straight into the span.
+ * instead of paying a virtual call per access. Consumers
+ * (PrivateTrace::record, the PRISM characterizer) drain local
+ * batches, so the virtual dispatch is amortized over a whole batch;
+ * producers with a non-virtual fill (TraceCursor) decode straight
+ * into the span.
  */
 class BatchSource
 {

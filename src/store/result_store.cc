@@ -96,6 +96,10 @@ decodeRecord(const std::string &bytes, std::string *kind,
         const std::uint64_t kindLen = r.getU64();
         const std::uint64_t keyLen = r.getU64();
         const std::uint64_t payloadLen = r.getU64();
+        // Bounded first, so that the sum below cannot wrap.
+        for (const std::uint64_t len : {kindLen, keyLen, payloadLen})
+            if (len > bytes.size())
+                return false;
         const std::uint64_t bodyBytes = kindLen + keyLen + payloadLen;
         if (bytes.size() != kMinBytes + bodyBytes)
             return false;

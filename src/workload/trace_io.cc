@@ -34,14 +34,6 @@ writeRaw(std::FILE *f, const void *data, std::size_t size,
         fatal("trace write failed: ", path);
 }
 
-void
-readRaw(std::FILE *f, void *data, std::size_t size,
-        const std::string &path)
-{
-    if (std::fread(data, 1, size, f) != size)
-        fatal("trace read failed or truncated: ", path);
-}
-
 } // namespace
 
 FileTrace::FileTrace(std::vector<MemAccess> records)
@@ -103,9 +95,8 @@ writeTraceFile(const std::string &path, TraceSource &source)
 namespace {
 
 /**
- * fread for the load path: unlike readRaw, failures throw (corrupt or
- * truncated input files are a caller-recoverable condition, not a
- * programming error).
+ * fread for the load path: failures throw (corrupt or truncated input
+ * files are a caller-recoverable condition, not a programming error).
  */
 void
 loadRaw(std::FILE *f, void *data, std::size_t size,

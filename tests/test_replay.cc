@@ -1,11 +1,12 @@
 /**
  * @file
- * Tests of the vectorized batch-replay kernel (sim/replay.cc):
- * bit-identity against the per-access scheduler with and without
- * fault injection, across write-timing policies and workload
- * families, and the multi-source fallback. The ShardedReplay suite
- * name predates the removal of set-sharded replay; it is kept so
- * those tests keep their names.
+ * Tests of the N-lane batch-replay kernel (System::runReplay):
+ * bit-identity against the live System::run, which walks the real
+ * L1/L2 caches one access at a time, with and without fault
+ * injection, across write-timing policies, workload families and lane
+ * counts, and its rejection of a missing or mismatched recording. The
+ * ShardedReplay suite name predates the removal of set-sharded
+ * replay; it is kept so those tests keep their names.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include "nvsim/published.hh"
 #include "sim/system.hh"
 #include "util/metrics.hh"
+#include "workload/generators.hh"
 #include "workload/recorded_trace.hh"
 #include "workload/suite.hh"
 #include "workload/workload_registry.hh"
@@ -83,14 +85,23 @@ makeRecording(const BenchmarkSpec &spec, const SystemConfig &base)
     return r;
 }
 
-/** One replay run through System::runReplay (the engine it picks). */
-SimStats
-viaRunReplay(const Recording &rec, const SystemConfig &base,
-             const LlcModel &llc)
+/** @p base as @p spec's runs use it on @p threads cores. */
+SystemConfig
+configFor(const BenchmarkSpec &spec, std::uint32_t threads,
+          const SystemConfig &base)
 {
     SystemConfig cfg = base;
-    cfg.numCores = rec.trace->threads();
-    System system(cfg, llc);
+    cfg.numCores = threads;
+    cfg.perCoreLlcStats = spec.gen.perThreadStats;
+    return cfg;
+}
+
+/** One replay run through the batch kernel (System::runReplay). */
+SimStats
+viaRunReplay(const BenchmarkSpec &spec, const Recording &rec,
+             const SystemConfig &base, const LlcModel &llc)
+{
+    System system(configFor(spec, rec.trace->threads(), base), llc);
     auto cursors = rec.trace->cursors();
     std::vector<ReplaySource *> ptrs;
     for (TraceCursor &c : cursors)
@@ -98,19 +109,21 @@ viaRunReplay(const Recording &rec, const SystemConfig &base,
     return system.runReplay(ptrs, rec.priv.get());
 }
 
-/** The same run through the per-access scheduler (the oracle). */
+/**
+ * The same workload simulated live from its generators (the
+ * reference): real L1/L2 walks, one access at a time.
+ */
 SimStats
-viaScheduler(const Recording &rec, const SystemConfig &base,
-             const LlcModel &llc)
+viaLive(const BenchmarkSpec &spec, const SystemConfig &base,
+        const LlcModel &llc)
 {
-    SystemConfig cfg = base;
-    cfg.numCores = rec.trace->threads();
-    System system(cfg, llc);
-    auto cursors = rec.trace->cursors();
-    std::vector<BatchSource *> ptrs;
-    for (TraceCursor &c : cursors)
-        ptrs.push_back(&c);
-    return system.run(ptrs, rec.priv.get());
+    const std::uint32_t threads = spec.defaultThreads;
+    System system(configFor(spec, threads, base), llc);
+    auto traces = buildThreadTraces(spec.gen, threads);
+    std::vector<TraceSource *> ptrs;
+    for (auto &t : traces)
+        ptrs.push_back(t.get());
+    return system.run(ptrs);
 }
 
 double
@@ -128,36 +141,34 @@ detailScalar(const SimStats &s, const std::string &path)
 
 /**
  * Record @p spec under @p base and expect the batch kernel
- * (System::runReplay, which must pick it) to reproduce the
- * per-access scheduler (System::run on the same recording) in every
- * SimStats field, including the full detail tree, bit for bit.
- * Returns the scheduler's stats for case-specific checks.
+ * (System::runReplay) to reproduce a live run of the same workload
+ * (System::run on fresh generators) in every SimStats field,
+ * including the full detail tree, bit for bit. Returns the live
+ * run's stats for case-specific checks.
  */
 SimStats
-expectKernelMatchesScheduler(const BenchmarkSpec &spec,
-                             const SystemConfig &base,
-                             const std::string &tech)
+expectKernelMatchesLive(const BenchmarkSpec &spec,
+                        const SystemConfig &base,
+                        const std::string &tech)
 {
     const Recording rec = makeRecording(spec, base);
-    EXPECT_EQ(rec.trace->threads(), 1u); // the kernel's input
     const LlcModel &llc =
         publishedLlcModel(tech, CapacityMode::FixedCapacity);
 
-    const SimStats scheduler = viaScheduler(rec, base, llc);
-    const double kernelRuns = globalCounter("sim.replay.runs.serial");
-    const SimStats kernel = viaRunReplay(rec, base, llc);
-    EXPECT_EQ(globalCounter("sim.replay.runs.serial"), kernelRuns + 1.0);
-    expectSimStatsIdentical(scheduler, kernel);
-    return scheduler;
+    const SimStats live = viaLive(spec, base, llc);
+    const double kernelRuns = globalCounter("sim.replay.runs");
+    const SimStats kernel = viaRunReplay(spec, rec, base, llc);
+    EXPECT_EQ(globalCounter("sim.replay.runs"), kernelRuns + 1.0);
+    expectSimStatsIdentical(live, kernel);
+    return live;
 }
 
 } // namespace
 
 TEST(ShardedReplay, KernelMatchesLegacyScheduler)
 {
-    // The batch kernel against the per-access min-local-time
-    // scheduler on a SPEC workload.
-    expectKernelMatchesScheduler(trimmed("tonto", 120'000),
+    // The batch kernel against a live run of a SPEC workload.
+    expectKernelMatchesLive(trimmed("tonto", 120'000),
                                  SystemConfig{}, "Jan");
 }
 
@@ -170,9 +181,9 @@ TEST(ShardedReplay, FaultSweepBitIdentical)
     base.llc.faults.enabled = true;
     base.llc.faults.berScale = 64.0;
     base.llc.faults.wearScale = 1e6;
-    const SimStats scheduler = expectKernelMatchesScheduler(
+    const SimStats live = expectKernelMatchesLive(
         trimmed("lbm", 120'000), base, "Jan");
-    EXPECT_GT(detailScalar(scheduler, "sim.llc.faults.writeRetries"),
+    EXPECT_GT(detailScalar(live, "sim.llc.faults.writeRetries"),
               0.0); // the config actually injects
 }
 
@@ -190,35 +201,56 @@ TEST(ShardedReplay, WritePoliciesAndBypassBitIdentical)
 
     const BenchmarkSpec spec = trimmed("lbm", 80'000);
     for (const SystemConfig &base : {bank, blocking, bypass})
-        expectKernelMatchesScheduler(spec, base, "Jan");
+        expectKernelMatchesLive(spec, base, "Jan");
 }
 
 TEST(ReplayKernel, MatchesSchedulerBitForBit)
 {
     // A server-family workload on an SRAM LLC through both engines.
-    expectKernelMatchesScheduler(
+    expectKernelMatchesLive(
         WorkloadRegistry::global().resolve("kv:keys=1K,ops=30K"),
         SystemConfig{}, "SRAM");
 }
 
-TEST(ReplayKernel, MultiThreadTraceFallsBack)
+TEST(ReplayKernel, MultiLaneMatchesLive)
 {
-    // A multi-source replay interleaves cores by local time, which
-    // the single-core kernel does not model; runReplay must route it
-    // through the scheduler (counting the fallback) with identical
-    // results.
-    const BenchmarkSpec spec = trimmed("vips", 120'000);
-    const SystemConfig base;
-    const Recording rec = makeRecording(spec, base);
-    ASSERT_GT(rec.trace->threads(), 1u);
+    // Multi-source replays interleave their lanes by local time, in
+    // the live heap's order. A 4-thread Table V workload:
+    const BenchmarkSpec vips = trimmed("vips", 120'000);
+    ASSERT_EQ(vips.defaultThreads, 4u);
+    expectKernelMatchesLive(vips, SystemConfig{}, "Jan");
+
+    // Four co-scheduled tenants, whose per-core LLC split rides in
+    // the detail tree:
+    const SimStats tenants = expectKernelMatchesLive(
+        WorkloadRegistry::global().resolve(
+            "tenants:n=4,keys=4K,ops=60K"),
+        SystemConfig{}, "Kang");
+    EXPECT_GT(detailScalar(tenants, "sim.tenant3.llc.demandReads"), 0.0);
+
+    // And the fault layer's per-line draws under four lanes:
+    SystemConfig faulty;
+    faulty.llc.faults.enabled = true;
+    faulty.llc.faults.berScale = 64.0;
+    faulty.llc.faults.wearScale = 1e6;
+    const SimStats faults = expectKernelMatchesLive(vips, faulty, "Jan");
+    EXPECT_GT(detailScalar(faults, "sim.llc.faults.writeRetries"), 0.0);
+}
+
+TEST(ReplayKernel, RejectsMissingOrMismatchedRecording)
+{
+    // A replay without the sources' own recording has nothing to take
+    // the private levels from; it must stop, naming both counts.
+    const BenchmarkSpec spec = trimmed("vips", 20'000);
+    const Recording rec = makeRecording(spec, SystemConfig{});
+    const Recording single =
+        makeRecording(trimmed("tonto", 20'000), SystemConfig{});
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
-
-    const SimStats viaRun = viaScheduler(rec, base, jan);
-    const double fallbackBefore =
-        globalCounter("sim.replay.runs.fallback");
-    const SimStats viaReplay = viaRunReplay(rec, base, jan);
-    EXPECT_EQ(globalCounter("sim.replay.runs.fallback"),
-              fallbackBefore + 1.0);
-    expectSimStatsIdentical(viaRun, viaReplay);
+    const Recording missing{rec.trace, nullptr};
+    const Recording mismatched{rec.trace, single.priv};
+    EXPECT_DEATH(viaRunReplay(spec, missing, SystemConfig{}, jan),
+                 "private trace has 0 lanes for 4");
+    EXPECT_DEATH(viaRunReplay(spec, mismatched, SystemConfig{}, jan),
+                 "private trace has 1 lanes for 4");
 }

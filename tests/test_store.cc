@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <fcntl.h>
@@ -443,17 +444,37 @@ TEST(ResultStoreFiles, VerifyDetectsAndRepairs)
     const std::string badPath = store.pathFor("run", "bad");
     stompByte(badPath, off_t(fs::file_size(badPath)) - 10, '!');
 
+    // A forged record behind a valid checksum whose lengths
+    // (2^64-1, 5, 0) sum, wrapping, to its 4-byte body.
+    store.put("run", "forged", "cccc");
+    const std::string forgedPath = store.pathFor("run", "forged");
+    {
+        WireWriter w;
+        w.putBytes("NVCS", 4);
+        w.putU32(1); // record format version
+        w.putU64(~std::uint64_t(0));
+        w.putU64(5);
+        w.putU64(0);
+        w.putBytes("cccc", 4);
+        w.putU64(fnv1a64(w.buffer()));
+        std::ofstream(forgedPath, std::ios::binary | std::ios::trunc)
+            << w.take();
+    }
+    std::vector<std::string> damaged{badPath, forgedPath};
+    std::sort(damaged.begin(), damaged.end());
+
     const StoreVerifyResult detect = store.verify(/*repair=*/false);
-    EXPECT_EQ(detect.checked, 2u);
-    EXPECT_EQ(detect.corrupt, 1u);
-    ASSERT_EQ(detect.corruptPaths.size(), 1u);
-    EXPECT_EQ(detect.corruptPaths[0], badPath);
+    EXPECT_EQ(detect.checked, 3u);
+    EXPECT_EQ(detect.corrupt, 2u);
+    EXPECT_EQ(detect.corruptPaths, damaged);
     EXPECT_TRUE(fs::exists(badPath)); // detection does not mutate
+    EXPECT_TRUE(fs::exists(forgedPath));
 
     const std::uint64_t gen = store.generation();
     const StoreVerifyResult repair = store.verify(/*repair=*/true);
-    EXPECT_EQ(repair.corrupt, 1u);
+    EXPECT_EQ(repair.corrupt, 2u);
     EXPECT_FALSE(fs::exists(badPath));
+    EXPECT_FALSE(fs::exists(forgedPath));
     EXPECT_EQ(store.generation(), gen + 1); // destructive => bumped
 
     const StoreVerifyResult clean = store.verify(/*repair=*/true);
