@@ -137,13 +137,21 @@ appendFaults(std::string &key, const FaultConfig &f)
     appendBytes(key, f.capacitySampleInterval);
 }
 
+/** Stable byte-key of a FaultConfig: every knob, in declaration order. */
+std::string
+faultConfigKey(const FaultConfig &faults)
+{
+    std::string key;
+    key.reserve(64);
+    appendFaults(key, faults);
+    return key;
+}
+
 /**
- * Exact identity of one simulation: the trace identity plus every
- * LLC-model input that can change its SimStats. The base SystemConfig
- * is per-runner (the memo is too), so it needs no representation here
- * — except the fault-injection knobs, which are included defensively
- * because reliability sweeps vary them across otherwise-identical
- * configurations.
+ * Exact identity of one simulation: the trace identity, the run's
+ * fault settings, and every LLC-model input that can change its
+ * SimStats. The base SystemConfig is per-runner (the memo is too), so
+ * it needs no representation here.
  */
 std::string
 runKey(const GeneratorConfig &gen, const LlcModel &llc,
@@ -168,11 +176,11 @@ runKey(const GeneratorConfig &gen, const LlcModel &llc,
 }
 
 /**
- * Identity of the non-fault base SystemConfig, prefixed onto every
- * on-disk run key. The in-memory memo is per-runner so it never needs
- * this, but the disk store is shared by arbitrary processes whose
- * base configurations may differ (fault knobs are already inside
- * runKey(), and numCores comes in as the per-run thread count).
+ * Identity of the base SystemConfig, prefixed onto every on-disk run
+ * key. The in-memory memo is per-runner so it never needs this, but
+ * the disk store is shared by arbitrary processes whose base
+ * configurations may differ (fault knobs are inside runKey(), and
+ * numCores comes in as the per-run thread count).
  */
 std::string
 baseConfigKey(const SystemConfig &cfg)
@@ -224,33 +232,22 @@ findByClass(const std::vector<LlcModel> &models, NvmClass klass)
     });
 }
 
-std::string
-faultConfigKey(const FaultConfig &faults)
-{
-    std::string key;
-    key.reserve(64);
-    appendFaults(key, faults);
-    return key;
-}
-
 ExperimentRunner
-RunnerPool::acquire(const SystemConfig &base)
+RunnerPool::acquire()
 {
-    std::string key = faultConfigKey(base.llc.faults);
     // The pooled runner captured its view of the persistent store at
     // construction. A store swap (epoch) or destructive mutation
     // (generation: gc, verify --repair) must therefore change the
     // pool key, or a handle built before the mutation keeps serving
     // state the store no longer agrees with.
-    if (auto store = ResultStore::global()) {
-        key += '\0';
-        key += "e" + std::to_string(ResultStore::globalEpoch()) + "g" +
-               std::to_string(store->generation());
-    }
+    std::string key;
+    if (auto store = ResultStore::global())
+        key = "e" + std::to_string(ResultStore::globalEpoch()) + "g" +
+              std::to_string(store->generation());
     std::lock_guard<std::mutex> lock(mu_);
     auto it = runners_.find(key);
     if (it == runners_.end()) {
-        it = runners_.emplace(key, ExperimentRunner(base)).first;
+        it = runners_.emplace(key, ExperimentRunner()).first;
         MetricsRegistry::global()
             .gauge("service.runnerPoolSize")
             .set(double(runners_.size()));
@@ -476,6 +473,12 @@ ExperimentRunner::ExperimentRunner(SystemConfig base)
       store_(ResultStore::global()),
       diskBaseKey_(baseConfigKey(base_))
 {
+    // One channel for faults: a base that enabled them would reach
+    // every run while its memo keys carried only the per-run setting.
+    if (base_.llc.faults.enabled)
+        fatal("ExperimentRunner: the base config enables faults; pass "
+              "fault settings per run (RunJob::faults or runOne's "
+              "faults argument)");
 }
 
 void
@@ -582,11 +585,13 @@ ExperimentRunner::features(const BenchmarkSpec &spec) const
 SimStats
 ExperimentRunner::simulateUncached(const BenchmarkSpec &spec,
                                    const LlcModel &llc,
-                                   std::uint32_t threads) const
+                                   std::uint32_t threads,
+                                   const FaultConfig &faults) const
 {
     SystemConfig cfg = base_;
     cfg.numCores = threads;
     cfg.perCoreLlcStats = spec.gen.perThreadStats;
+    cfg.llc.faults = faults;
 
     // Replay the workload's recorded trace: generation happens once
     // per (generator, threads) for the runner's lifetime, and every
@@ -630,13 +635,13 @@ traceRunId(const BenchmarkSpec &spec, const LlcModel &llc,
 
 SimStats
 ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
-                         std::uint32_t threads) const
+                         std::uint32_t threads,
+                         const FaultConfig &faults) const
 {
     if (threads == 0)
         threads = spec.defaultThreads;
 
-    const std::string key =
-        runKey(spec.gen, llc, threads, base_.llc.faults);
+    const std::string key = runKey(spec.gen, llc, threads, faults);
     bool owner = false;
     SimStats stats = memo_->runs.get(key, [&] {
         owner = true;
@@ -650,8 +655,7 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
                 SimStats disk = decodeSimStats(payload);
                 if (tracingEnabled())
                     traceInstant("runner.diskHit", "engine",
-                                 traceRunId(spec, llc, threads,
-                                            base_.llc.faults) +
+                                 traceRunId(spec, llc, threads, faults) +
                                      "/disk");
                 return disk;
             },
@@ -664,21 +668,70 @@ ExperimentRunner::runOne(const BenchmarkSpec &spec, const LlcModel &llc,
                 // same whichever racing caller won ownership.
                 const std::string runId =
                     tracingEnabled()
-                        ? traceRunId(spec, llc, threads,
-                                     base_.llc.faults)
+                        ? traceRunId(spec, llc, threads, faults)
                         : std::string();
                 TraceScope scope(TraceContext{
                     runId, TraceContext::current().traceId});
                 Phase phase("runner.simulate", "engine", runId);
-                return simulateUncached(spec, llc, threads);
+                return simulateUncached(spec, llc, threads, faults);
             },
             encodeSimStats);
     });
     if (!owner && tracingEnabled())
         traceInstant("runner.memoHit", "engine",
-                     traceRunId(spec, llc, threads, base_.llc.faults) +
-                         "/hit");
+                     traceRunId(spec, llc, threads, faults) + "/hit");
     return stats;
+}
+
+std::vector<SimStats>
+ExperimentRunner::runAll(const std::vector<RunJob> &jobs,
+                         const std::string &phase) const
+{
+    Phase timer(phase + ".fanout", "study", TraceContext::current().path);
+    progressBegin(phase + " fan-out", jobs.size());
+    std::vector<SimStats> stats =
+        parallelMap(jobs_, jobs, [&](const RunJob &job) {
+            SimStats s = runOne(*job.spec, *job.llc, job.threads,
+                                job.faults);
+            progressTick();
+            return s;
+        });
+    progressEnd();
+    return stats;
+}
+
+TechSweep
+normalizeSweep(const BenchmarkSpec &spec, CapacityMode mode,
+               std::uint32_t threads, std::span<SimStats> stats)
+{
+    const std::vector<LlcModel> &models = publishedLlcModels(mode);
+    const LlcModel *sram = findByClass(models, NvmClass::SRAM);
+    if (!sram)
+        panic("published model list has no SRAM baseline");
+
+    TechSweep sweep;
+    sweep.workload = spec.name;
+    sweep.mode = mode;
+    sweep.cores = threads == 0 ? spec.defaultThreads : threads;
+
+    const SimStats &base = stats[std::size_t(sram - models.data())];
+    const double baseSeconds = base.seconds;
+    const double baseEnergy = base.llcEnergy();
+    const double baseEd2p = base.ed2p();
+    for (std::size_t i = 0; i < models.size(); ++i) {
+        RunResult r;
+        r.workload = spec.name;
+        r.tech = models[i].name;
+        r.klass = models[i].klass;
+        r.mode = mode;
+        r.cores = sweep.cores;
+        r.stats = std::move(stats[i]);
+        r.speedup = baseSeconds / r.stats.seconds;
+        r.normEnergy = r.stats.llcEnergy() / baseEnergy;
+        r.normEd2p = r.stats.ed2p() / baseEd2p;
+        sweep.results.push_back(std::move(r));
+    }
+    return sweep;
 }
 
 TechSweep
@@ -686,46 +739,11 @@ ExperimentRunner::sweepTechs(const BenchmarkSpec &spec,
                              CapacityMode mode,
                              std::uint32_t threads) const
 {
-    if (threads == 0)
-        threads = spec.defaultThreads;
-
-    TechSweep sweep;
-    sweep.workload = spec.name;
-    sweep.mode = mode;
-    sweep.cores = threads;
-
-    // Validate the model list before simulating anything: every
-    // result is normalized against the SRAM baseline, so its absence
-    // is a configuration error, not a post-hoc surprise.
-    const std::vector<LlcModel> &models = publishedLlcModels(mode);
-    const LlcModel *sram = findByClass(models, NvmClass::SRAM);
-    if (!sram)
-        panic("published model list has no SRAM baseline");
-
-    // Fan the eleven independent simulations out; the memo makes any
-    // repeats (notably the SRAM baseline across studies) free.
-    std::vector<SimStats> stats =
-        parallelMap(jobs_, models, [&](const LlcModel &llc) {
-            return runOne(spec, llc, threads);
-        });
-
-    const SimStats sram_stats =
-        stats[std::size_t(sram - models.data())];
-
-    for (std::size_t i = 0; i < models.size(); ++i) {
-        RunResult r;
-        r.workload = spec.name;
-        r.tech = models[i].name;
-        r.klass = models[i].klass;
-        r.mode = mode;
-        r.cores = threads;
-        r.stats = std::move(stats[i]);
-        r.speedup = sram_stats.seconds / r.stats.seconds;
-        r.normEnergy = r.stats.llcEnergy() / sram_stats.llcEnergy();
-        r.normEd2p = r.stats.ed2p() / sram_stats.ed2p();
-        sweep.results.push_back(std::move(r));
-    }
-    return sweep;
+    std::vector<RunJob> jobs;
+    for (const LlcModel &llc : publishedLlcModels(mode))
+        jobs.push_back({&spec, &llc, threads});
+    std::vector<SimStats> stats = runAll(jobs, "sweep");
+    return normalizeSweep(spec, mode, threads, stats);
 }
 
 } // namespace nvmcache

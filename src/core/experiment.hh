@@ -8,11 +8,12 @@
  *   energy    = E_llc,nvm / E_llc,sram  (lower is better)
  *   ED^2P     = (E * T^2)_nvm / (E * T^2)_sram
  *
- * The runner is a parallel, memoizing engine: independent simulations
- * fan out across a thread pool (util/parallel.hh) and every completed
- * run is cached by its exact inputs (generator configuration, LLC
- * model, thread count), so a study that needs the same (workload,
- * mode, cores) SRAM baseline for ten technologies simulates it once.
+ * The runner is a parallel, memoizing engine: runAll() fans a grid of
+ * independent simulations out across a thread pool
+ * (util/parallel.hh) and every completed run is cached by its exact
+ * inputs (generator configuration, LLC model, thread count, fault
+ * settings), so a study that needs the same (workload, mode, cores)
+ * SRAM baseline for ten technologies simulates it once.
  * Simulations are deterministic, so memoized and fresh results are
  * bit-identical and the concurrency level never changes any output.
  * The same exactly-once discipline serves the recorded traces, the
@@ -25,6 +26,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,6 +71,29 @@ struct TechSweep
     const RunResult &byTech(const std::string &tech) const;
     /** First result of @p klass (e.g. the SRAM baseline). */
     const RunResult &byClass(NvmClass klass) const;
+};
+
+/**
+ * Normalize one workload's tech sweep: @p stats holds one run per
+ * publishedLlcModels(@p mode) entry, in that order, and is consumed.
+ * Every result is normalized against the SRAM baseline among them.
+ * @param threads 0 = spec default (the sweep's `cores`).
+ */
+TechSweep normalizeSweep(const BenchmarkSpec &spec, CapacityMode mode,
+                         std::uint32_t threads,
+                         std::span<SimStats> stats);
+
+/**
+ * One simulation of a fan-out (ExperimentRunner::runAll): a workload
+ * on one LLC model at one thread count under one fault setting. The
+ * pointees must outlive the fan-out.
+ */
+struct RunJob
+{
+    const BenchmarkSpec *spec = nullptr;
+    const LlcModel *llc = nullptr;
+    std::uint32_t threads = 0; ///< 0 = spec default
+    FaultConfig faults{};      ///< default = fault injection off
 };
 
 /** Execution counters of one ExperimentRunner (memo effectiveness). */
@@ -128,7 +153,11 @@ struct RunnerStats
 class ExperimentRunner
 {
   public:
-    /** @param base  System template; LLC model/cores set per run. */
+    /**
+     * @param base  System template; LLC model, cores and fault
+     *        settings are set per run, so a base that enables faults
+     *        is fatal (they go in RunJob::faults).
+     */
     explicit ExperimentRunner(SystemConfig base = SystemConfig());
 
     /**
@@ -136,9 +165,21 @@ class ExperimentRunner
      * stats of an identical earlier run. Thread-safe.
      * @param threads 0 = spec default; multi-threaded workloads use
      *        one core per thread.
+     * @param faults the run's fault injection (default: off).
      */
     SimStats runOne(const BenchmarkSpec &spec, const LlcModel &llc,
-                    std::uint32_t threads = 0) const;
+                    std::uint32_t threads = 0,
+                    const FaultConfig &faults = FaultConfig()) const;
+
+    /**
+     * The one fan-out of every grid study: runOne() for each of
+     * @p jobs, concurrently over jobs() threads, in the "<phase>.fanout"
+     * Phase with one live progress tick per job. Returns every job's
+     * stats in job order, so results are bit-identical at any
+     * concurrency level.
+     */
+    std::vector<SimStats> runAll(const std::vector<RunJob> &jobs,
+                                 const std::string &phase) const;
 
     /**
      * Materialize (or fetch from the runner's exactly-once trace
@@ -177,9 +218,8 @@ class ExperimentRunner
 
     /**
      * Sweep all published Table III technologies (plus the SRAM
-     * baseline) for one workload and normalize. Individual runs fan
-     * out over jobs() threads; results are assembled in Table III
-     * order regardless of completion order.
+     * baseline) for one workload: runAll() over the models, then
+     * normalizeSweep(). Results are in Table III order.
      */
     TechSweep sweepTechs(const BenchmarkSpec &spec, CapacityMode mode,
                          std::uint32_t threads = 0) const;
@@ -203,7 +243,8 @@ class ExperimentRunner
 
     SimStats simulateUncached(const BenchmarkSpec &spec,
                               const LlcModel &llc,
-                              std::uint32_t threads) const;
+                              std::uint32_t threads,
+                              const FaultConfig &faults) const;
 
     SystemConfig base_;
     unsigned jobs_;
@@ -213,7 +254,7 @@ class ExperimentRunner
      * Persistent tier between the in-memory memo and simulation,
      * captured from ResultStore::global() at construction (null =
      * persistence off). Run keys on disk prefix the memo key with
-     * diskBaseKey_ — the non-fault base SystemConfig identity — since
+     * diskBaseKey_ — the base SystemConfig identity — since
      * on disk, unlike in this runner's memo, records from differently
      * configured processes share one namespace. Trace, private-trace
      * and feature keys already hold every input their records depend
@@ -224,27 +265,18 @@ class ExperimentRunner
 };
 
 /**
- * Stable byte-key of a FaultConfig: every knob that distinguishes one
- * fault-injection setting from another, in declaration order. This is
- * the RunnerPool index — runs under different fault settings must
- * never share a memoized result (see runKey()).
- */
-std::string faultConfigKey(const FaultConfig &faults);
-
-/**
- * Keyed pool of long-lived ExperimentRunners, one per fault-config
- * key. The batch service (and any other long-lived host) acquires
+ * Pool of long-lived ExperimentRunners, one per view of the persistent
+ * store. The batch service (and any other long-lived host) acquires
  * runners from one pool so memo caches, RecordedTrace/PrivateTrace
  * stores, and estimator results persist across requests: the second
  * request for a study hits warm stores instead of re-simulating.
+ * Fault settings are per-run inputs inside every run's memo key, so
+ * one runner serves every fault configuration.
  *
  * acquire() returns a *copy* of the pooled runner. Copies share the
  * memo and trace stores (the expensive state) but carry their own
  * jobs knob, so concurrent studies can set different concurrency
- * levels without racing. The pool assumes every caller uses the same
- * non-fault base SystemConfig (true of all studies today, which vary
- * only the fault knobs); the first acquire() of a key captures its
- * full base config.
+ * levels without racing.
  */
 class RunnerPool
 {
@@ -253,10 +285,10 @@ class RunnerPool
     RunnerPool(const RunnerPool &) = delete;
     RunnerPool &operator=(const RunnerPool &) = delete;
 
-    /** Runner sharing the pooled state for @p base's fault config. */
-    ExperimentRunner acquire(const SystemConfig &base = SystemConfig());
+    /** Runner sharing the pooled state for the current store view. */
+    ExperimentRunner acquire();
 
-    /** Number of distinct fault-config runners materialized. */
+    /** Number of distinct runners materialized. */
     std::size_t size() const;
 
   private:

@@ -10,42 +10,6 @@
 
 namespace nvmcache {
 
-namespace {
-
-/** One simulation to prefetch into the runner's memo. */
-struct RunJob
-{
-    const BenchmarkSpec *spec = nullptr;
-    const LlcModel *llc = nullptr;
-    std::uint32_t threads = 0; ///< 0 = spec default
-};
-
-/**
- * Fan every job out across the runner's thread pool. Each run lands
- * in the runner's memo, so the study's subsequent (serial,
- * order-stable) assembly re-reads them without simulating anything:
- * results are bit-identical at any concurrency level.
- *
- * @p phase labels both the "<phase>.fanout" Phase and the live
- * progress line (one tick per completed job, including
- * memo-served ones).
- */
-void
-prefetchRuns(const ExperimentRunner &runner,
-             const std::vector<RunJob> &jobs, const std::string &phase)
-{
-    Phase timer(phase + ".fanout", "study", TraceContext::current().path);
-    progressBegin(phase + " fan-out", jobs.size());
-    parallelMap(runner.jobs(), jobs, [&](const RunJob &job) {
-        runner.runOne(*job.spec, *job.llc, job.threads);
-        progressTick();
-        return 0;
-    });
-    progressEnd();
-}
-
-} // namespace
-
 FigureStudy
 runFigureStudy(const FigureConfig &cfg, const ExperimentRunner &runner)
 {
@@ -59,27 +23,23 @@ runFigureStudy(const FigureConfig &cfg, const ExperimentRunner &runner)
         spec.gen.totalAccesses = std::uint64_t(
             double(spec.gen.totalAccesses) * cfg.traceScale);
 
-    // Phase 1: every (workload, technology) point is independent —
-    // fan the whole figure out at once.
+    // Every (workload, technology) point is independent: fan the
+    // whole figure out at once, then normalize each workload's runs.
     const std::vector<LlcModel> &models = publishedLlcModels(mode);
     std::vector<RunJob> jobs;
     jobs.reserve(specs.size() * models.size());
     for (const BenchmarkSpec &spec : specs)
         for (const LlcModel &llc : models)
-            jobs.push_back({&spec, &llc, 0});
-    prefetchRuns(runner, jobs, "figure");
+            jobs.push_back({&spec, &llc});
+    std::vector<SimStats> stats = runner.runAll(jobs, "figure");
 
-    // Phase 2: assemble in suite order from the memo. The serial
-    // copy shares the memo but skips per-sweep pool spin-up, since
-    // every run is already cached.
-    Phase assemble_timer("figure.assemble", "study",
-                         TraceContext::current().path);
-    ExperimentRunner assembler = runner;
-    assembler.setJobs(1);
     FigureStudy study;
     study.mode = mode;
+    std::span<SimStats> rest(stats);
     for (const BenchmarkSpec &spec : specs) {
-        TechSweep sweep = assembler.sweepTechs(spec, mode);
+        TechSweep sweep =
+            normalizeSweep(spec, mode, 0, rest.first(models.size()));
+        rest = rest.subspan(models.size());
         if (spec.multiThreaded)
             study.multiThreaded.push_back(std::move(sweep));
         else
@@ -115,33 +75,16 @@ runCoreSweep(const CoreSweepConfig &cfg, const ExperimentRunner &runner)
     const CapacityMode mode = CapacityMode::FixedArea;
     const LlcModel &sram = publishedLlcModel("SRAM", mode);
 
-    // Phase 1: fan out the baselines and every sweep point. The
-    // (SRAM, 1 core) baseline and a requested SRAM/1-core point are
-    // the same simulation; the memo runs it once.
+    // One fan-out: each workload's baseline (single-core SRAM doing
+    // the same total work), then its sweep points. The baseline and a
+    // requested SRAM/1-core point are the same simulation; the memo
+    // runs it once.
     std::vector<RunJob> jobs;
+    std::vector<std::size_t> pointJob, baselineJob; // per point
     for (const std::string &wname : workloads) {
         const BenchmarkSpec &spec = benchmark(wname);
+        const std::size_t baseline = jobs.size();
         jobs.push_back({&spec, &sram, 1});
-        for (const std::string &tname : techs) {
-            const LlcModel &llc = publishedLlcModel(tname, mode);
-            for (std::uint32_t cores : coreCounts) {
-                if (cores > 1 && !spec.multiThreaded)
-                    continue;
-                jobs.push_back({&spec, &llc, cores});
-            }
-        }
-    }
-    prefetchRuns(runner, jobs, "coreSweep");
-
-    // Phase 2: deterministic assembly from the memo.
-    Phase assemble_timer("coreSweep.assemble", "study",
-                         TraceContext::current().path);
-    for (const std::string &wname : workloads) {
-        const BenchmarkSpec &spec = benchmark(wname);
-
-        // Baseline: single-core SRAM doing the same total work.
-        SimStats base = runner.runOne(spec, sram, 1);
-
         for (const std::string &tname : techs) {
             const LlcModel &llc = publishedLlcModel(tname, mode);
             for (std::uint32_t cores : coreCounts) {
@@ -151,14 +94,21 @@ runCoreSweep(const CoreSweepConfig &cfg, const ExperimentRunner &runner)
                 p.workload = wname;
                 p.tech = tname;
                 p.cores = cores;
-                p.stats = runner.runOne(spec, llc, cores);
-                p.speedupVsBaseline =
-                    base.seconds / p.stats.seconds;
-                p.normEnergy =
-                    p.stats.llcEnergy() / base.llcEnergy();
                 study.points.push_back(std::move(p));
+                pointJob.push_back(jobs.size());
+                baselineJob.push_back(baseline);
+                jobs.push_back({&spec, &llc, cores});
             }
         }
+    }
+    std::vector<SimStats> stats = runner.runAll(jobs, "coreSweep");
+
+    for (std::size_t i = 0; i < study.points.size(); ++i) {
+        CoreSweepPoint &p = study.points[i];
+        const SimStats &base = stats[baselineJob[i]];
+        p.stats = std::move(stats[pointJob[i]]);
+        p.speedupVsBaseline = base.seconds / p.stats.seconds;
+        p.normEnergy = p.stats.llcEnergy() / base.llcEnergy();
     }
     return study;
 }
@@ -201,27 +151,26 @@ runCorrelationCore(const std::vector<BenchmarkSpec> &specs,
     for (const BenchmarkSpec &spec : specs)
         study.workloads.push_back(spec.name);
 
-    // Simulation pass, phase 1: every (mode, workload, technology)
-    // point at once.
+    // Simulation pass: every (mode, workload, technology) point at
+    // once, then one tech sweep per (workload, mode), shared across
+    // all studied technologies.
     std::vector<RunJob> jobs;
     for (CapacityMode mode : modes)
         for (const BenchmarkSpec &spec : specs)
             for (const LlcModel &llc : publishedLlcModels(mode))
-                jobs.push_back({&spec, &llc, 0});
-    prefetchRuns(runner, jobs, "correlation");
+                jobs.push_back({&spec, &llc});
+    std::vector<SimStats> stats = runner.runAll(jobs, "correlation");
 
-    // Phase 2: one tech sweep per (workload, mode), shared across all
-    // studied technologies, assembled from the memo (the serial copy
-    // shares it).
-    Phase assemble_timer("correlation.assemble", "study",
-                         TraceContext::current().path);
-    ExperimentRunner assembler = runner;
-    assembler.setJobs(1);
+    std::span<SimStats> rest(stats);
     for (CapacityMode mode : modes) {
+        const std::size_t models = publishedLlcModels(mode).size();
         std::vector<TechSweep> sweeps;
         sweeps.reserve(specs.size());
-        for (const BenchmarkSpec &spec : specs)
-            sweeps.push_back(assembler.sweepTechs(spec, mode));
+        for (const BenchmarkSpec &spec : specs) {
+            sweeps.push_back(
+                normalizeSweep(spec, mode, 0, rest.first(models)));
+            rest = rest.subspan(models);
+        }
 
         for (const std::string &tech : techs) {
             TechCorrelation tc;
@@ -397,7 +346,8 @@ detailValue(const StatsSnapshot &snap, const std::string &path)
 } // namespace
 
 ReliabilityStudy
-runReliabilityStudy(const ReliabilityConfig &cfg, RunnerPool *pool)
+runReliabilityStudy(const ReliabilityConfig &cfg,
+                    const ExperimentRunner &runner)
 {
     if (!validTraceScale(cfg.traceScale))
         fatal("runReliabilityStudy: traceScale must be in (0, 1]");
@@ -408,83 +358,80 @@ runReliabilityStudy(const ReliabilityConfig &cfg, RunnerPool *pool)
     spec.gen.totalAccesses =
         std::uint64_t(double(spec.gen.totalAccesses) * cfg.traceScale);
 
+    // Grid-major: every fault setting is a per-run input, so one
+    // fan-out on one runner covers the grid and the workload's trace
+    // and private trace are recorded once.
+    std::vector<FaultConfig> grid;
+    for (double ber : cfg.berScales)
+        for (double wl : cfg.wearLevelingFactors) {
+            FaultConfig faults;
+            faults.enabled = true;
+            faults.berScale = ber;
+            faults.wearLevelingFactor = wl;
+            faults.wearScale = cfg.wearScale;
+            faults.maxWriteRetries = cfg.maxWriteRetries;
+            grid.push_back(faults);
+        }
+    const std::vector<LlcModel> &models = publishedLlcModels(cfg.mode);
+    std::vector<RunJob> jobs;
+    for (const FaultConfig &faults : grid)
+        for (const LlcModel &llc : models)
+            jobs.push_back({&spec, &llc, cfg.threads, faults});
+    std::vector<SimStats> stats = runner.runAll(jobs, "reliability");
+
     ReliabilityStudy study;
     study.config = cfg;
+    std::span<SimStats> rest(stats);
+    for (const FaultConfig &faults : grid) {
+        TechSweep sweep = normalizeSweep(spec, cfg.mode, cfg.threads,
+                                         rest.first(models.size()));
+        rest = rest.subspan(models.size());
+        for (std::size_t m = 0; m < models.size(); ++m) {
+            RunResult &r = sweep.results[m];
+            ReliabilityPoint p;
+            p.tech = r.tech;
+            p.klass = r.klass;
+            p.berScale = faults.berScale;
+            p.wearLevelingFactor = faults.wearLevelingFactor;
+            p.speedup = r.speedup;
+            p.normEnergy = r.normEnergy;
 
-    Phase timer("reliability", "study", TraceContext::current().path);
-    progressBegin("reliability sweep", cfg.berScales.size() *
-                                           cfg.wearLevelingFactors.size());
-    for (double ber : cfg.berScales) {
-        for (double wl : cfg.wearLevelingFactors) {
-            // One runner per grid point: the fault knobs live in the
-            // runner's base SystemConfig, so sharing a memo across
-            // points would conflate different fault settings. A
-            // caller-owned pool keys runners the same way and keeps
-            // them warm across repeated sweeps.
-            SystemConfig sys;
-            sys.llc.faults.enabled = true;
-            sys.llc.faults.berScale = ber;
-            sys.llc.faults.wearLevelingFactor = wl;
-            sys.llc.faults.wearScale = cfg.wearScale;
-            sys.llc.faults.maxWriteRetries = cfg.maxWriteRetries;
-            ExperimentRunner runner =
-                pool ? pool->acquire(sys) : ExperimentRunner(sys);
-            runner.setJobs(cfg.jobs);
+            const StatsSnapshot &d = r.stats.detail;
+            const std::string f = "sim.llc.faults.";
+            p.writeRetries =
+                std::uint64_t(detailValue(d, f + "writeRetries"));
+            p.writeScrubs =
+                std::uint64_t(detailValue(d, f + "writeScrubs"));
+            p.readScrubs = std::uint64_t(detailValue(d, f + "readScrubs"));
+            p.uncorrectable =
+                std::uint64_t(detailValue(d, f + "uncorrectable"));
+            p.retiredLines =
+                std::uint64_t(detailValue(d, f + "retiredLines"));
+            const double frac =
+                detailValue(d, f + "effectiveCapacityFraction");
+            p.effectiveCapacityFraction = frac > 0.0 ? frac : 1.0;
 
-            TechSweep sweep =
-                runner.sweepTechs(spec, cfg.mode, cfg.threads);
-            for (RunResult &r : sweep.results) {
-                ReliabilityPoint p;
-                p.tech = r.tech;
-                p.klass = r.klass;
-                p.berScale = ber;
-                p.wearLevelingFactor = wl;
-                p.speedup = r.speedup;
-                p.normEnergy = r.normEnergy;
+            // Close the loop with the closed-form endurance model:
+            // project lifetime from this run's observed write traffic
+            // and measured hottest-line imbalance.
+            LifetimeInputs in;
+            in.llcWrites = r.stats.llc.fills + r.stats.llc.writebacksIn -
+                           r.stats.llc.writeBypasses;
+            in.seconds = r.stats.seconds;
+            in.cacheLines = models[m].capacityBytes /
+                            runner.baseConfig().llc.blockBytes;
+            const double mean =
+                double(in.llcWrites) / double(in.cacheLines);
+            const double hottest = detailValue(d, "sim.llc.maxLineWrites");
+            in.writeImbalance =
+                mean > 0.0 ? std::max(1.0, hottest / mean) : 1.0;
+            p.lifetime = estimateLifetime(p.klass, in,
+                                          faults.wearLevelingFactor);
 
-                const StatsSnapshot &d = r.stats.detail;
-                const std::string f = "sim.llc.faults.";
-                p.writeRetries = std::uint64_t(
-                    detailValue(d, f + "writeRetries"));
-                p.writeScrubs = std::uint64_t(
-                    detailValue(d, f + "writeScrubs"));
-                p.readScrubs = std::uint64_t(
-                    detailValue(d, f + "readScrubs"));
-                p.uncorrectable = std::uint64_t(
-                    detailValue(d, f + "uncorrectable"));
-                p.retiredLines = std::uint64_t(
-                    detailValue(d, f + "retiredLines"));
-                const double frac =
-                    detailValue(d, f + "effectiveCapacityFraction");
-                p.effectiveCapacityFraction = frac > 0.0 ? frac : 1.0;
-
-                // Close the loop with the closed-form endurance
-                // model: project lifetime from this run's observed
-                // write traffic and measured hottest-line imbalance.
-                const LlcModel &model =
-                    publishedLlcModel(r.tech, cfg.mode);
-                LifetimeInputs in;
-                in.llcWrites = r.stats.llc.fills +
-                               r.stats.llc.writebacksIn -
-                               r.stats.llc.writeBypasses;
-                in.seconds = r.stats.seconds;
-                in.cacheLines =
-                    model.capacityBytes / sys.llc.blockBytes;
-                const double mean = double(in.llcWrites) /
-                                    double(in.cacheLines);
-                const double hottest =
-                    detailValue(d, "sim.llc.maxLineWrites");
-                in.writeImbalance =
-                    mean > 0.0 ? std::max(1.0, hottest / mean) : 1.0;
-                p.lifetime = estimateLifetime(p.klass, in, wl);
-
-                p.stats = std::move(r.stats);
-                study.points.push_back(std::move(p));
-            }
-            progressTick();
+            p.stats = std::move(r.stats);
+            study.points.push_back(std::move(p));
         }
     }
-    progressEnd();
     return study;
 }
 

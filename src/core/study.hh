@@ -227,14 +227,14 @@ CompareResult runCompare(const CompareConfig &cfg,
 /**
  * Reliability sweep configuration: one workload, every published
  * technology, a grid of (BER scale x wear-leveling factor) fault
- * settings (sim/faults.hh).
+ * settings (sim/faults.hh). Each grid point's settings are a per-run
+ * input (RunJob::faults), so one runner serves the whole grid.
  */
 struct ReliabilityConfig
 {
     std::string workload = "lbm"; ///< the suite's write-heaviest
     CapacityMode mode = CapacityMode::FixedCapacity;
     std::uint32_t threads = 0; ///< 0 = workload default
-    unsigned jobs = 0;         ///< 0 = defaultJobs()
     double traceScale = 1.0;
     std::vector<double> berScales{1.0, 8.0, 64.0};
     std::vector<double> wearLevelingFactors{1.0, 0.5, 0.125};
@@ -285,19 +285,14 @@ struct ReliabilityStudy
 
 /**
  * Sweep the fault-injection grid over every published technology
- * (plus the SRAM control, whose raw error rates are zero). Each grid
- * point uses an ExperimentRunner whose base system carries that
- * point's FaultConfig, so memoization never mixes fault settings; all
- * statistics are bit-identical at any `jobs` level.
- *
- * @param pool  optional long-lived runner pool (the batch service's):
- *        when given, each grid point's runner is drawn from it keyed
- *        by fault config, so repeated sweeps reuse warm memo caches
- *        and trace stores. nullptr builds ephemeral per-point runners
- *        (the historical behavior); results are identical either way.
+ * (plus the SRAM control, whose raw error rates are zero) in one
+ * fan-out on @p runner. Each run carries its grid point's FaultConfig,
+ * which is part of its memo key, so memoization never mixes fault
+ * settings while every point shares one recorded trace and private
+ * trace; all statistics are bit-identical at any `jobs` level.
  */
 ReliabilityStudy runReliabilityStudy(const ReliabilityConfig &cfg,
-                                     RunnerPool *pool = nullptr);
+                                     const ExperimentRunner &runner);
 
 /**
  * Accumulate every run's "sim.*" detail report into one study-level

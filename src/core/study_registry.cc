@@ -729,21 +729,15 @@ class ReliabilityStudyDef : public Study
     void
     run(const ExperimentRunner &runner) override
     {
-        // The reliability grid builds one runner per fault setting;
-        // the shared pool (when hosted by the service) keeps each of
-        // them warm across requests. Concurrency follows the
-        // dispatching runner.
-        cfg_.jobs = runner.jobs();
-        study_ = runReliabilityStudy(cfg_, pool_);
+        study_ = runReliabilityStudy(cfg_, runner);
     }
 
     std::vector<StudyRequest>
     shardRequests() const override
     {
         // One single-point reliability grid per (BER, wear-leveling)
-        // setting: the fault knobs live in the runner's base config,
-        // so the sub-request must be a reliability study itself, not
-        // a compare.
+        // setting: a compare carries no fault settings, so the
+        // sub-request must be a reliability study itself.
         std::vector<StudyRequest> reqs;
         for (double ber : cfg_.berScales)
             for (double wl : cfg_.wearLevelingFactors) {
@@ -1079,10 +1073,8 @@ StudyRegistry::global()
 StudyReport
 runStudy(Study &study, const StudyRunOptions &opts)
 {
-    RunnerPool local;
-    RunnerPool *pool = opts.pool ? opts.pool : &local;
-    study.setRunnerPool(pool);
-    ExperimentRunner runner = pool->acquire();
+    ExperimentRunner runner =
+        opts.pool ? opts.pool->acquire() : ExperimentRunner();
     runner.setJobs(opts.jobs);
     TraceScope scope(
         TraceContext::current().child("study/" + study.name()));

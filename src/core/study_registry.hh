@@ -109,14 +109,6 @@ class Study
      */
     virtual std::vector<StudyRequest> shardRequests() const;
 
-    /**
-     * Optional shared runner pool. Studies that build their own
-     * fault-keyed runners (reliability) draw them from here so a
-     * long-lived host keeps every fault configuration warm; unset,
-     * they build ephemeral runners.
-     */
-    void setRunnerPool(RunnerPool *pool) { pool_ = pool; }
-
   protected:
     /** Apply one validated-key override; throw on a bad value. */
     virtual void applyParam(const std::string &key,
@@ -128,8 +120,6 @@ class Study
      * throw naming the key. The default accepts.
      */
     virtual void validate() const {}
-
-    RunnerPool *pool_ = nullptr;
 };
 
 /**
@@ -166,7 +156,7 @@ class StudyRegistry
 struct StudyRunOptions
 {
     unsigned jobs = 0;          ///< 0 = engine default
-    RunnerPool *pool = nullptr; ///< nullptr = ephemeral runners
+    RunnerPool *pool = nullptr; ///< nullptr = an ephemeral runner
 };
 
 /**

@@ -6,10 +6,12 @@
  * JSON protocol (service/protocol.hh), and executes studies through
  * the uniform Study API on worker threads. Its defining property is
  * that the expensive engine state outlives requests: one RunnerPool
- * holds a long-lived ExperimentRunner per fault-config key, so memo
- * caches, RecordedTrace/PrivateTrace stores, and estimator results
- * are shared across every client — a repeated study request replays
- * entirely from warm stores and returns in milliseconds.
+ * holds a long-lived ExperimentRunner per view of the persistent
+ * store (fault settings are per-run inputs, so one runner serves them
+ * all), and memo caches, RecordedTrace/PrivateTrace stores, and
+ * estimator results are shared across every client — a repeated
+ * study request replays entirely from warm stores and returns in
+ * milliseconds.
  *
  * Request lifecycle:
  *  - admission control: a bounded FIFO job queue; a request arriving

@@ -395,30 +395,6 @@ nodeToJson(std::ostringstream &os, const TreeNode &node,
     os << "}";
 }
 
-void
-nodeToTree(std::ostringstream &os, const TreeNode &node, int depth)
-{
-    for (const auto &[name, child] : node.children) {
-        os << std::string(std::size_t(depth) * 2, ' ') << name;
-        if (child.value) {
-            const StatValue &v = *child.value;
-            os << ": ";
-            if (v.kind == StatKind::Distribution) {
-                const DistributionSnapshot &d = v.dist;
-                os << "count=" << d.count
-                   << " mean=" << numberToJson(d.mean)
-                   << " stdev=" << numberToJson(d.stdev())
-                   << " min=" << numberToJson(d.minimum)
-                   << " max=" << numberToJson(d.maximum);
-            } else {
-                os << scalarToJson(v);
-            }
-        }
-        os << "\n";
-        nodeToTree(os, child, depth + 1);
-    }
-}
-
 /** CSV-quote a field if it contains separators or quotes. */
 std::string
 csvField(const std::string &s)
@@ -602,15 +578,6 @@ StatsSnapshot::toCsv() const
         }
         os << "\n";
     }
-    return os.str();
-}
-
-std::string
-StatsSnapshot::toPrettyTree() const
-{
-    std::ostringstream os;
-    TreeNode root = buildTree(entries);
-    nodeToTree(os, root, 0);
     return os.str();
 }
 

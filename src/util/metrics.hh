@@ -21,7 +21,7 @@
  * StatsSnapshot freezes a registry into plain values that can be
  * diffed against an earlier snapshot (exact per-run deltas even when
  * components are reused), merged across runs, and exported as JSON, as
- * CSV, or as a pretty console tree.
+ * CSV, or as Prometheus text.
  *
  * Layers are timed with Phase (util/trace_events.hh), which records
  * seconds into a Distribution ("phase.<name>"), and a small opt-in
@@ -269,8 +269,6 @@ class StatsSnapshot
     std::string toJson() const;
     /** Flat CSV: path,kind,value,count,sum,min,max,mean,stdev,p50,p95,p99. */
     std::string toCsv() const;
-    /** Indented console tree. */
-    std::string toPrettyTree() const;
     /**
      * Prometheus text exposition (text/plain version 0.0.4): dotted
      * paths become underscore-joined metric names under @p prefix,

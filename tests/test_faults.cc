@@ -441,13 +441,15 @@ smallReliabilityConfig()
 
 TEST(FaultDeterminism, ReliabilityStudyBitIdenticalAcrossJobCounts)
 {
-    ReliabilityConfig serialCfg = smallReliabilityConfig();
-    serialCfg.jobs = 1;
-    ReliabilityConfig parallelCfg = smallReliabilityConfig();
-    parallelCfg.jobs = 8;
+    ExperimentRunner serial;
+    serial.setJobs(1);
+    ExperimentRunner parallel;
+    parallel.setJobs(8);
 
-    const ReliabilityStudy a = runReliabilityStudy(serialCfg);
-    const ReliabilityStudy b = runReliabilityStudy(parallelCfg);
+    const ReliabilityStudy a =
+        runReliabilityStudy(smallReliabilityConfig(), serial);
+    const ReliabilityStudy b =
+        runReliabilityStudy(smallReliabilityConfig(), parallel);
 
     ASSERT_EQ(a.points.size(), b.points.size());
     bool sawFaults = false;
@@ -485,17 +487,18 @@ TEST(FaultDeterminism, ReplayedRunMatchesLiveRun)
     const LlcModel &jan =
         publishedLlcModel("Jan", CapacityMode::FixedCapacity);
 
-    SystemConfig base;
-    base.llc.faults.enabled = true;
-    base.llc.faults.berScale = 8.0;
-    base.llc.faults.wearScale = 1e6;
+    FaultConfig faults;
+    faults.enabled = true;
+    faults.berScale = 8.0;
+    faults.wearScale = 1e6;
 
-    ExperimentRunner runner(base);
+    ExperimentRunner runner;
     runner.setJobs(1);
-    const SimStats replayed = runner.runOne(spec, jan);
+    const SimStats replayed = runner.runOne(spec, jan, 0, faults);
 
     SystemConfig cfg = runner.baseConfig();
     cfg.numCores = threads;
+    cfg.llc.faults = faults;
     System system(cfg, jan);
     auto traces = buildThreadTraces(spec.gen, threads);
     std::vector<TraceSource *> ptrs;
@@ -513,10 +516,17 @@ TEST(FaultDeterminism, ReliabilityStudyShapeAndControls)
 {
     ReliabilityConfig cfg = smallReliabilityConfig();
     cfg.wearLevelingFactors = {1.0, 0.25};
-    const ReliabilityStudy study = runReliabilityStudy(cfg);
+    ExperimentRunner runner;
+    const ReliabilityStudy study = runReliabilityStudy(cfg, runner);
 
     // 1 BER x 2 wear levels x (10 NVM + SRAM).
     ASSERT_EQ(study.points.size(), 22u);
+    // Fault settings are per-run inputs: both grid points share one
+    // recorded trace and one private-level recording.
+    const RunnerStats rs = runner.runnerStats();
+    EXPECT_EQ(rs.simulations, 22u);
+    EXPECT_EQ(rs.traceBuilds, 1u);
+    EXPECT_EQ(rs.privateBuilds, 1u);
     const ReliabilityPoint &sram = study.at("SRAM", 64.0, 1.0);
     EXPECT_EQ(sram.writeRetries, 0u);
     EXPECT_EQ(sram.uncorrectable, 0u);
@@ -530,4 +540,13 @@ TEST(FaultDeterminism, ReliabilityStudyShapeAndControls)
     // Better wear-leveling never shortens the projected lifetime.
     EXPECT_GE(leveled.lifetime.lifetimeYears,
               tight.lifetime.lifetimeYears);
+}
+
+TEST(FaultDeathTest, RunnerBaseWithFaultsIsFatal)
+{
+    // Faults have one channel, the per-run setting; a base config
+    // that enables them would reach runs its memo keys do not name.
+    SystemConfig base;
+    base.llc.faults.enabled = true;
+    EXPECT_DEATH(ExperimentRunner{base}, "RunJob::faults");
 }

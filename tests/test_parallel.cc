@@ -302,11 +302,12 @@ TEST(RunnerMemo, FigureStudyBaselinePerWorkloadIsOne)
                    runner);
     RunnerStats stats = runner.runnerStats();
     // Exactly one SRAM baseline per workload, despite ten NVM rows
-    // normalizing against it and the assembly pass re-reading it.
+    // normalizing against it; the study reads each run once, from
+    // its one fan-out, so nothing is a memo hit.
     EXPECT_EQ(stats.baselineSimulations, benchmarkSuite().size());
     EXPECT_EQ(stats.simulations,
               benchmarkSuite().size() * 11u);
-    EXPECT_GT(stats.memoHits, 0u);
+    EXPECT_EQ(stats.memoHits, 0u);
 }
 
 // --- estimator memoization ------------------------------------------

@@ -312,20 +312,29 @@ TEST(Registry, CanonicalKeySeparatesKinds)
 
 // --- runner pool ----------------------------------------------------
 
-TEST(RunnerPoolT, KeysRunnersByFaultConfig)
+TEST(RunnerPoolT, OneRunnerKeepsFaultSettingsApart)
 {
+    BenchmarkSpec spec = benchmark("lbm");
+    spec.gen.totalAccesses = 50'000;
+    const LlcModel llc =
+        publishedLlcModel("Jan", CapacityMode::FixedCapacity);
+    FaultConfig faults;
+    faults.enabled = true;
+    faults.berScale = 8.0;
+
     RunnerPool pool;
-    (void)pool.acquire();
-    (void)pool.acquire();
+    ExperimentRunner runner = pool.acquire();
+    const SimStats clean = runner.runOne(spec, llc);
+    const SimStats faulty = runner.runOne(spec, llc, 0, faults);
     EXPECT_EQ(pool.size(), 1u);
 
-    SystemConfig faulty;
-    faulty.llc.faults.enabled = true;
-    faulty.llc.faults.berScale = 8.0;
-    (void)pool.acquire(faulty);
-    EXPECT_EQ(pool.size(), 2u);
-    (void)pool.acquire(faulty);
-    EXPECT_EQ(pool.size(), 2u);
+    // The fault setting is part of the run's memo key: two runs, but
+    // one recorded trace and one private-level recording under both.
+    const RunnerStats rs = runner.runnerStats();
+    EXPECT_EQ(rs.simulations, 2u);
+    EXPECT_EQ(rs.traceBuilds, 1u);
+    EXPECT_EQ(rs.privateBuilds, 1u);
+    EXPECT_FALSE(clean.detail == faulty.detail);
 }
 
 TEST(RunnerPoolT, AcquiredRunnersShareMemo)
@@ -836,9 +845,10 @@ TEST(Service, TracedRunEchoesIdAndServesFilteredTrace)
                 sawServiceRun = true;
             if (e.stringOr("name", "") == "runner.simulate")
                 sawSimulate = true;
-            if (e.stringOr("ph", "") != "M")
+            if (e.stringOr("ph", "") != "M") {
                 EXPECT_EQ(e.at("args").stringOr("trace", ""), tag)
                     << e.dump();
+            }
         }
         EXPECT_TRUE(sawServiceRun);
         EXPECT_TRUE(sawSimulate);

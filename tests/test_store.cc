@@ -423,8 +423,9 @@ TEST(ResultStoreFiles, ConcurrentProcessWritersNeverTearRecords)
     ResultStore reader(dir);
     for (int i = 0; i < 200; ++i) {
         const auto got = reader.load("run", "contended");
-        if (got.has_value())
+        if (got.has_value()) {
             EXPECT_EQ(*got, payload); // whole or absent, never torn
+        }
     }
     for (const pid_t pid : kids) {
         int status = 0;

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "core/experiment.hh"
-#include "core/study.hh"
 #include "core/study_registry.hh"
 #include "nvm/heuristics.hh"
 #include "nvm/model_library.hh"
@@ -220,6 +219,30 @@ buildStudyRequest(const std::vector<std::string> &pos,
     return req;
 }
 
+/**
+ * Map the `--<key> VALUE` flags of @p keys onto @p req's parameters,
+ * raw, so the study's own parser judges each value and names a bad
+ * token before anything runs; an absent flag keeps the study default.
+ */
+void
+flagParams(ArgParser &parser, StudyRequest &req,
+           std::initializer_list<const char *> keys)
+{
+    const ParamMap defaults =
+        StudyRegistry::global().create(req.kind)->defaultConfig();
+    for (const char *key : keys)
+        req.params[key] =
+            parser.str(std::string("--") + key, defaults.at(key));
+}
+
+/** The `--fixed-area` flag as a capacity mode. */
+CapacityMode
+modeFlag(ArgParser &parser)
+{
+    return parser.flag("--fixed-area") ? CapacityMode::FixedArea
+                                       : CapacityMode::FixedCapacity;
+}
+
 int
 cmdModels()
 {
@@ -236,9 +259,7 @@ cmdModels()
 int
 cmdLlc(ArgParser &parser)
 {
-    const CapacityMode mode = parser.flag("--fixed-area")
-                                  ? CapacityMode::FixedArea
-                                  : CapacityMode::FixedCapacity;
+    const CapacityMode mode = modeFlag(parser);
     parser.rejectUnknown("llc");
     std::printf("%-12s %-8s %-9s %-9s %-10s %-9s %-9s\n", "model",
                 "cap[MB]", "read[ns]", "write[ns]", "Ewrite[nJ]",
@@ -300,12 +321,13 @@ cmdEstimate(const std::vector<std::string> &pos)
 int
 cmdSimulate(ArgParser &parser)
 {
-    CompareConfig cfg;
-    cfg.mode = parser.flag("--fixed-area") ? CapacityMode::FixedArea
-                                           : CapacityMode::FixedCapacity;
-    cfg.threads = parser.u32("--threads", 0);
-    cfg.traceScale = parser.num("--scale", 1.0);
-    const unsigned jobs = parser.u32("--jobs", 0);
+    StudyRequest req;
+    req.kind = "compare";
+    const CapacityMode mode = modeFlag(parser);
+    req.params["mode"] = toString(mode);
+    flagParams(parser, req, {"threads", "scale"});
+    StudyRunOptions opts;
+    opts.jobs = parser.u32("--jobs", 0);
     setProgressEnabled(parser.flag("--progress"));
     const std::string statsOut = parser.str("--stats-out", "");
     const std::string statsFormat = parser.str("--stats-format", "json");
@@ -317,31 +339,33 @@ cmdSimulate(ArgParser &parser)
     if (pos.size() < 2)
         throw std::runtime_error(
             "'simulate' needs a workload and a technology");
-    cfg.workload = pos[0];
-    cfg.tech = pos[1];
+    req.params["workload"] = pos[0];
+    req.params["tech"] = pos[1];
 
-    ExperimentRunner runner;
-    runner.setJobs(jobs);
-    const CompareResult r = runCompare(cfg, runner);
-    const LlcModel &llc = publishedLlcModel(cfg.tech, cfg.mode);
+    const StudyReport report = runStudyRequest(req, opts);
+    const JsonValue &r = report.result;
+    const JsonValue &nvm = r.at("nvm");
+    const LlcModel &llc = publishedLlcModel(pos[1], mode);
 
-    std::printf("%s on %s (%s):\n", cfg.workload.c_str(),
-                llc.citationName().c_str(), toString(cfg.mode).c_str());
+    std::printf("%s on %s (%s):\n", pos[0].c_str(),
+                llc.citationName().c_str(), toString(mode).c_str());
     std::printf("  runtime %.3f ms (SRAM %.3f), mpki %.1f\n",
-                r.nvm.seconds * 1e3, r.sram.seconds * 1e3,
-                r.nvm.llcMpki());
+                nvm.at("seconds").asNumber() * 1e3,
+                r.at("sram").at("seconds").asNumber() * 1e3,
+                nvm.at("llcMpki").asNumber());
     std::printf("  speedup %.3f, energy %.3f, ED^2P %.3f "
                 "(vs SRAM)\n",
-                r.speedup, r.normEnergy, r.normEd2p);
+                r.at("speedup").asNumber(),
+                r.at("normEnergy").asNumber(),
+                r.at("normEd2p").asNumber());
 
     if (!statsOut.empty()) {
         // Report = the NVM run's deterministic detail, the SRAM
         // baseline's detail under "baseline.", and the process-wide
         // engine metrics (runner.*, estimator.*, phase.*).
-        StatsSnapshot report = r.nvm.detail;
-        report.mergeSum(r.sram.detail.withPrefix("baseline"));
-        report.mergeSum(MetricsRegistry::global().snapshot());
-        writeStatsFile(statsOut, report, parseStatsFormat(statsFormat));
+        StatsSnapshot out = report.stats;
+        out.mergeSum(MetricsRegistry::global().snapshot());
+        writeStatsFile(statsOut, out, parseStatsFormat(statsFormat));
         std::printf("  stats written to %s\n", statsOut.c_str());
     }
     finishTrace(traceOut);
@@ -419,17 +443,15 @@ cmdExportTrace(ArgParser &parser)
 int
 cmdReliability(ArgParser &parser)
 {
-    ReliabilityConfig cfg;
-    cfg.mode = parser.flag("--fixed-area") ? CapacityMode::FixedArea
-                                           : CapacityMode::FixedCapacity;
-    cfg.threads = parser.u32("--threads", 0);
-    cfg.jobs = parser.u32("--jobs", 0);
-    cfg.traceScale = parser.num("--scale", 0.25);
-    cfg.berScales = parser.numList("--ber-scale", cfg.berScales);
-    cfg.wearLevelingFactors =
-        parser.numList("--wear-leveling", cfg.wearLevelingFactors);
-    cfg.wearScale = parser.num("--wear-scale", 1.0);
-    cfg.maxWriteRetries = parser.u32("--max-retries", 3);
+    StudyRequest req;
+    req.kind = "reliability";
+    req.params["mode"] = toString(modeFlag(parser));
+    flagParams(parser, req,
+               {"threads", "ber-scale", "wear-leveling", "wear-scale",
+                "max-retries"});
+    req.params["scale"] = parser.str("--scale", "0.25");
+    StudyRunOptions opts;
+    opts.jobs = parser.u32("--jobs", 0);
     setProgressEnabled(parser.flag("--progress"));
     const std::string statsOut = parser.str("--stats-out", "");
     const std::string statsFormat = parser.str("--stats-format", "json");
@@ -439,31 +461,40 @@ cmdReliability(ArgParser &parser)
 
     const std::vector<std::string> pos = parser.positionals();
     if (!pos.empty())
-        cfg.workload = pos[0];
+        req.params["workload"] = pos[0];
 
-    ReliabilityStudy study = runReliabilityStudy(cfg);
+    const StudyReport report = runStudyRequest(req, opts);
+    const JsonValue &r = report.result;
 
-    std::printf("%s (%s), wearScale %g, maxRetries %u:\n",
-                cfg.workload.c_str(), toString(cfg.mode).c_str(),
-                cfg.wearScale, cfg.maxWriteRetries);
+    // The study accepted these, so they parse.
+    std::printf(
+        "%s (%s), wearScale %g, maxRetries %u:\n",
+        r.at("workload").asString().c_str(),
+        r.at("mode").asString().c_str(),
+        ArgParser::parseNum("wear-scale", req.params.at("wear-scale")),
+        ArgParser::parseU32("max-retries", req.params.at("max-retries")));
     std::printf("%-6s %-6s %-12s %10s %8s %8s %8s %8s %8s %10s\n",
                 "ber", "wear", "tech", "retries", "scrubs", "uncorr",
                 "retired", "effCap%", "speedup", "life[y]");
-    for (const ReliabilityPoint &p : study.points)
+    const auto count = [](const JsonValue &p, const char *key) {
+        return (unsigned long long)p.at(key).asNumber();
+    };
+    for (const JsonValue &p : r.at("points").items)
         std::printf("%-6g %-6g %-12s %10llu %8llu %8llu %8llu "
                     "%8.2f %8.3f %10.3g\n",
-                    p.berScale, p.wearLevelingFactor, p.tech.c_str(),
-                    (unsigned long long)p.writeRetries,
-                    (unsigned long long)(p.writeScrubs + p.readScrubs),
-                    (unsigned long long)p.uncorrectable,
-                    (unsigned long long)p.retiredLines,
-                    p.effectiveCapacityFraction * 100.0, p.speedup,
-                    p.lifetime.lifetimeYears);
+                    p.at("berScale").asNumber(),
+                    p.at("wearLeveling").asNumber(),
+                    p.at("tech").asString().c_str(),
+                    count(p, "writeRetries"), count(p, "scrubs"),
+                    count(p, "uncorrectable"), count(p, "retiredLines"),
+                    p.at("effectiveCapacityFraction").asNumber() * 100.0,
+                    p.at("speedup").asNumber(),
+                    p.at("lifetimeYears").asNumber());
 
     if (!statsOut.empty()) {
-        StatsSnapshot report = aggregateSimStats(study);
-        report.mergeSum(MetricsRegistry::global().snapshot());
-        writeStatsFile(statsOut, report, parseStatsFormat(statsFormat));
+        StatsSnapshot out = report.stats;
+        out.mergeSum(MetricsRegistry::global().snapshot());
+        writeStatsFile(statsOut, out, parseStatsFormat(statsFormat));
         std::printf("stats written to %s\n", statsOut.c_str());
     }
     finishTrace(traceOut);
